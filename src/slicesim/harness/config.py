@@ -34,6 +34,8 @@ class PhasePlan:
     def __post_init__(self):
         if min(self.explore, self.train, self.eval) < 0:
             raise ConfigError("phases: lengths must be >= 0")
+        if self.total == 0:
+            raise ConfigError("phases: at least one phase must have a positive length")
 
     @property
     def total(self) -> int:
@@ -71,7 +73,7 @@ def _require(section: dict, key: str, path: str):
     return section[key]
 
 
-def _number(section: dict, key: str, path: str, default=None, minimum=None):
+def _number(section: dict, key: str, path: str, default=None, minimum=None, maximum=None):
     if key not in section:
         if default is None:
             raise ConfigError(f"{path}.{key}: missing required field")
@@ -81,6 +83,8 @@ def _number(section: dict, key: str, path: str, default=None, minimum=None):
         raise ConfigError(f"{path}.{key}: expected a number, got {type(v).__name__}")
     if minimum is not None and v < minimum:
         raise ConfigError(f"{path}.{key}: must be >= {minimum}")
+    if maximum is not None and v > maximum:
+        raise ConfigError(f"{path}.{key}: must be <= {maximum}")
     return v
 
 
@@ -175,6 +179,10 @@ def parse_rewards(scheme_section: dict, scenario: Scenario, path: str = "scheme"
     )
 
 
+# Agent parameters that are fractions: discount, Polyak rate, exploration odds.
+UNIT_INTERVAL = ("gamma", "tau", "epsilon_start", "epsilon_end")
+
+
 def parse_hyper(obj, path: str = "agent") -> AgentHyperParams:
     section = _check_section(obj, path) if obj is not None else {}
     known = {f.name for f in dc_fields(AgentHyperParams)}
@@ -193,8 +201,13 @@ def parse_hyper(obj, path: str = "agent") -> AgentHyperParams:
         elif f.name in ("batch_size", "policy_delay", "buffer_capacity"):
             kwargs[f.name] = _integer(section, f.name, path, minimum=1)
         else:
-            kwargs[f.name] = float(_number(section, f.name, path, minimum=0.0))
-    return AgentHyperParams(**kwargs)
+            top = 1.0 if f.name in UNIT_INTERVAL else None
+            kwargs[f.name] = float(_number(section, f.name, path, minimum=0.0, maximum=top))
+    hyper = AgentHyperParams(**kwargs)
+    if hyper.epsilon_end > hyper.epsilon_start:
+        raise ConfigError(f"{path}.epsilon_end: must be <= {path}.epsilon_start "
+                          f"({hyper.epsilon_start})")
+    return hyper
 
 
 def parse_scheme_kinds(scheme_section: dict, path: str = "scheme") -> tuple[str, ...]:

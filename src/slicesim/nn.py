@@ -8,6 +8,15 @@ cell's slice shares land on a simplex by construction).
 Batch convention: inputs are (batch, d_in); backward returns parameter
 gradients summed over the batch, so mean-loss callers scale the output
 gradient by 1/batch themselves.
+
+Member axis: one ``Mlp`` can hold E same-shaped networks (members) stacked
+on a leading axis. Their parameters form one flat ``(E, P)`` array, and each
+layer's weights are ``(E, fan_in, fan_out)`` views into it. Inputs are then
+``(E, batch, d_in)``; every member sees only its own slice, so one batched
+matmul per layer replaces E separate passes with the same per-member
+arithmetic. A plain net is the case without the leading axis, with a flat
+``(P,)`` array. ``Adam`` and callers that update parameters in place work on
+the flat array, so one call covers every layer of every member.
 """
 
 from __future__ import annotations
@@ -72,15 +81,47 @@ class _Cache:
 
 
 class Mlp:
-    """ReLU MLP with explicit parameters and hand-written backward."""
+    """ReLU MLP with explicit parameters and hand-written backward.
+
+    All parameters live in one flat array ``flat`` of shape ``lead + (P,)``;
+    ``weights[i]`` (``lead + (fan_in, fan_out)``) and ``biases[i]``
+    (``lead + (fan_out,)``) are views into it, laid out in ``parameters()``
+    order. A plain net has ``lead == ()``. A stack of E same-shaped members,
+    trained side by side, has ``lead == (E,)`` and takes inputs with the same
+    leading axis: member e maps ``x[e]`` with its own parameters ``flat[e]``.
+    """
 
     def __init__(self, spec: MlpSpec, weights: list[np.ndarray], biases: list[np.ndarray]):
+        sizes = spec.layer_sizes
+        lead = np.shape(weights[0])[:-2] if weights else ()
+        ok = len(weights) == len(biases) == len(sizes) - 1
+        for w, b, fin, fout in zip(weights, biases, sizes, sizes[1:]):
+            ok = ok and np.shape(w) == lead + (fin, fout) and np.shape(b) == lead + (fout,)
+        if not ok:
+            raise ValueError("parameter shapes do not match the spec")
+        parts = [np.reshape(p, lead + (-1,)) for pair in zip(weights, biases) for p in pair]
+        self._bind(spec, np.concatenate(parts, axis=-1, dtype=float))
+
+    def _bind(self, spec: MlpSpec, flat: np.ndarray) -> None:
         self.spec = spec
-        self.weights = weights
-        self.biases = biases
-        for w, b, fin, fout in zip(weights, biases, spec.layer_sizes, spec.layer_sizes[1:]):
-            if w.shape != (fin, fout) or b.shape != (fout,):
-                raise ValueError("parameter shapes do not match the spec")
+        self.flat = flat
+        self.weights, self.biases = [], []
+        lead, off = flat.shape[:-1], 0
+        for fin, fout in zip(spec.layer_sizes, spec.layer_sizes[1:]):
+            # splitting the contiguous last axis always gives views, never copies
+            self.weights.append(flat[..., off:off + fin * fout].reshape(lead + (fin, fout)))
+            off += fin * fout
+            self.biases.append(flat[..., off:off + fout])
+            off += fout
+        if off != flat.shape[-1]:
+            raise ValueError("flat parameter size does not match the spec")
+
+    @staticmethod
+    def from_flat(spec: MlpSpec, flat: np.ndarray) -> "Mlp":
+        """An Mlp whose parameters are views into ``flat`` (no copy)."""
+        net = Mlp.__new__(Mlp)
+        net._bind(spec, flat)
+        return net
 
     @staticmethod
     def init(rng: np.random.Generator, spec: MlpSpec) -> "Mlp":
@@ -92,15 +133,27 @@ class Mlp:
             bs.append(np.zeros(fout))
         return Mlp(spec, ws, bs)
 
+    @staticmethod
+    def stack(nets: list["Mlp"]) -> "Mlp":
+        """A stack whose member i is a copy of the plain net ``nets[i]``."""
+        return Mlp.from_flat(nets[0].spec, np.stack([net.flat for net in nets]))
+
+    def member(self, index) -> "Mlp":
+        """Member ``index`` (an int gives a plain net, a slice a stack) as an
+        Mlp sharing this one's parameters."""
+        return Mlp.from_flat(self.spec, self.flat[index])
+
     # -- forward ------------------------------------------------------------
 
     def _as_batch(self, x) -> tuple[np.ndarray, bool]:
         a = np.asarray(x, dtype=float)
-        single = a.ndim == 1
+        lead = self.flat.shape[:-1]
+        single = a.ndim == len(lead) + 1
         if single:
-            a = a[None, :]
-        if a.ndim != 2 or a.shape[1] != self.spec.d_in:
-            raise ValueError(f"input shape {a.shape} incompatible with d_in={self.spec.d_in}")
+            a = a[..., None, :]
+        if a.ndim != len(lead) + 2 or a.shape[:-2] != lead or a.shape[-1] != self.spec.d_in:
+            raise ValueError(f"input shape {np.shape(x)} incompatible with d_in="
+                             f"{self.spec.d_in} and member axes {lead}")
         return a, single
 
     def apply_head(self, z: np.ndarray) -> np.ndarray:
@@ -115,10 +168,11 @@ class Mlp:
         h, single = self._as_batch(x)
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
+            h = h @ w
+            h += b[..., None, :]
             if i < last:
-                h = np.maximum(h, 0.0)
-        return h[0] if single else h
+                np.maximum(h, 0.0, out=h)
+        return h[..., 0, :] if single else h
 
     def forward(self, x) -> np.ndarray:
         z = self.logits(x)
@@ -129,12 +183,13 @@ class Mlp:
         acts, zs = [h], []
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = acts[-1] @ w + b
+            z = acts[-1] @ w
+            z += b[..., None, :]
             zs.append(z)
             if i < last:
                 acts.append(np.maximum(z, 0.0))
         y = self.apply_head(zs[-1])
-        return (y[0] if single else y), _Cache(acts=acts, zs=zs, y=y)
+        return (y[..., 0, :] if single else y), _Cache(acts=acts, zs=zs, y=y)
 
     # -- backward -----------------------------------------------------------
 
@@ -144,33 +199,32 @@ class Mlp:
         if self.spec.head == "sigmoid":
             return gy * y * (1.0 - y)
         bs = self.spec.block_size
-        yb = y.reshape(y.shape[0], -1, bs)
-        gb = gy.reshape(gy.shape[0], -1, bs)
+        yb = y.reshape(y.shape[:-1] + (-1, bs))
+        gb = gy.reshape(gy.shape[:-1] + (-1, bs))
         gz = yb * (gb - (gb * yb).sum(axis=-1, keepdims=True))
         return gz.reshape(gy.shape)
 
-    def backward(self, cache: _Cache, grad_out) -> tuple[list[np.ndarray], np.ndarray]:
+    def backward(self, cache: _Cache, grad_out,
+                 out: np.ndarray | None = None) -> tuple[list[np.ndarray], np.ndarray]:
         """Gradients for a scalar loss given dL/dy (batch-summed).
 
-        Returns (param_grads in parameters() order, dL/dx).
+        Returns (param_grads in parameters() order, dL/dx). The parameter
+        gradients are views into one array shaped like ``flat``: ``out``
+        when given, so a caller can reuse one buffer, else a new array.
         """
         gy = np.asarray(grad_out, dtype=float)
-        single = gy.ndim == 1
+        single = gy.ndim == self.flat.ndim
         if single:
-            gy = gy[None, :]
+            gy = gy[..., None, :]
         g = self._head_backward(gy, cache.y)
-        grads_w: list[np.ndarray] = [None] * len(self.weights)
-        grads_b: list[np.ndarray] = [None] * len(self.biases)
+        grad = Mlp.from_flat(self.spec, np.empty_like(self.flat) if out is None else out)
         for i in range(len(self.weights) - 1, -1, -1):
-            grads_w[i] = cache.acts[i].T @ g
-            grads_b[i] = g.sum(axis=0)
-            g = g @ self.weights[i].T
+            np.matmul(np.swapaxes(cache.acts[i], -1, -2), g, out=grad.weights[i])
+            np.sum(g, axis=-2, out=grad.biases[i])
+            g = g @ np.swapaxes(self.weights[i], -1, -2)
             if i > 0:
-                g = g * (cache.zs[i - 1] > 0.0)
-        grads: list[np.ndarray] = []
-        for gw, gb in zip(grads_w, grads_b):
-            grads.extend((gw, gb))
-        return grads, (g[0] if single else g)
+                g *= cache.zs[i - 1] > 0.0
+        return grad.parameters(), (g[..., 0, :] if single else g)
 
     # -- parameter plumbing ---------------------------------------------------
 
@@ -181,11 +235,11 @@ class Mlp:
         return out
 
     def param_count(self) -> int:
-        return sum(p.size for p in self.parameters())
+        """Parameters of one member (of the whole net when it is plain)."""
+        return self.flat.shape[-1]
 
     def copy(self) -> "Mlp":
-        return Mlp(self.spec, [w.copy() for w in self.weights],
-                   [b.copy() for b in self.biases])
+        return Mlp.from_flat(self.spec, self.flat.copy())
 
     # -- checkpointing --------------------------------------------------------
 
@@ -212,7 +266,11 @@ class Mlp:
 
 
 class Adam:
-    """Standard Adam with bias correction; updates parameters in place."""
+    """Standard Adam with bias correction; updates parameters in place.
+
+    The update runs through two preallocated work arrays per parameter, so a
+    step allocates no temporaries the size of the parameters.
+    """
 
     def __init__(self, params: list[np.ndarray], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -223,6 +281,7 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
+        self._work = [np.empty((2,) + np.shape(p)) for p in params]
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         if len(params) != len(self.m) or len(grads) != len(self.m):
@@ -233,12 +292,22 @@ class Adam:
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
+        for p, g, m, v, (a, b) in zip(params, grads, self.m, self.v, self._work):
+            # p -= lr * (m / c1) / (sqrt(v / c2) + eps), one operation at a time
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(g, 1.0 - self.beta1, out=a)
+            m += a
             v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            np.square(g, out=a)
+            a *= 1.0 - self.beta2
+            v += a
+            np.divide(v, c2, out=a)
+            np.sqrt(a, out=a)
+            a += self.eps
+            np.divide(m, c1, out=b)
+            b *= self.lr
+            b /= a
+            p -= b
 
     def to_dict(self) -> dict:
         return {

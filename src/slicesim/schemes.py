@@ -18,7 +18,7 @@ scheme-appropriate rewards; ``train`` advances the learners.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .mdp import (
     reward_penalized,
 )
 from .netsim import ConfigError, NetState, Scenario
-from .td3 import Experience, Td3Agent, Td3Config, TrainDiagnostics, uniform_simplex
+from .td3 import Experience, Td3Agent, Td3Config
 
 SCHEME_KINDS = ("cen_pen", "cen_soft", "dist", "dist_comm", "baseline", "static_default")
 PHASES = ("explore", "train", "eval")
@@ -159,47 +159,92 @@ class _EpsilonSchedule:
         return self.start + (self.end - self.start) * frac
 
 
-class CentralController(Controller):
-    """Single agent that sees every cell and emits the full allocation."""
+def _agent_config(hyper: AgentHyperParams, state_dim: int, action_dim: int, block_size: int,
+                  constraint_mode: str, actor_hidden, critic_hidden) -> Td3Config:
+    return Td3Config(
+        state_dim=state_dim, action_dim=action_dim, block_size=block_size,
+        constraint_mode=constraint_mode, actor_hidden=actor_hidden, critic_hidden=critic_hidden,
+        gamma=hyper.gamma, batch_size=hyper.batch_size, tau=hyper.tau,
+        policy_delay=hyper.policy_delay, target_noise=hyper.target_noise,
+        noise_clip=hyper.noise_clip, explore_noise=hyper.explore_noise,
+        actor_lr=hyper.actor_lr, critic_lr=hyper.critic_lr,
+        buffer_capacity=hyper.buffer_capacity)
+
+
+class _LearningController(Controller):
+    """Shared plumbing of the TD3 schemes: one (possibly stacked) agent, the
+    epsilon schedule, and a one-entry memo of the last observed state matrix,
+    so each network state is observed once although act and record both
+    need it.
+
+    Each subclass still defines ``act``, ``record`` and ``train`` itself,
+    where the per-class spans of ``benchmarks/spans.py`` look for them.
+    """
 
     trains = True
 
+    def __init__(self, scenario, rewards, scaling, agent: Td3Agent, hyper: AgentHyperParams,
+                 anneal_steps: int):
+        super().__init__(scenario, rewards, scaling)
+        self.agent = agent
+        self._eps = _EpsilonSchedule(hyper.epsilon_start, hyper.epsilon_end, anneal_steps)
+        self._memo: tuple[NetState, np.ndarray] | None = None
+
+    def _observe(self, net: NetState) -> np.ndarray:
+        """(A, state_dim) agent observations of ``net``."""
+        if self._memo is None or self._memo[0] is not net:
+            self._memo = (net, self._states(net))
+        return self._memo[1]
+
+    def _states(self, net: NetState) -> np.ndarray:
+        raise NotImplementedError
+
+    def _select(self, net: NetState, phase: str, step: int) -> tuple[np.ndarray, np.ndarray]:
+        states = self._observe(net)
+        if phase == "explore":
+            return self.agent.select_action(states, "explore_random")
+        if phase == "eval":
+            return self.agent.select_action(states, "eval")
+        return self.agent.select_action(states, "train_noisy", self._eps.value(step))
+
+    def _train(self, step: int) -> SchemeDiagnostics:
+        # mean over agents; with A = 1 this is the agent's own value, exactly
+        d = self.agent.train_step(step)
+        return SchemeDiagnostics(
+            critic_loss=float(np.mean(d.critic_loss)),
+            actor_objective=float(np.mean(d.actor_objective)),
+            mean_abs_td=float(np.mean(d.mean_abs_td)),
+            updated=d.updated)
+
+    def param_count(self):
+        return self.agent.param_count()
+
+    def total_param_count(self):
+        return self.agent.members * self.agent.param_count()
+
+    def checkpoint(self):
+        return {"kind": self.kind, "agent": self.agent.to_dict()}
+
+
+class CentralController(_LearningController):
+    """Single agent that sees every cell and emits the full allocation."""
+
     def __init__(self, scenario, rewards, scaling, hyper: AgentHyperParams,
                  rng: np.random.Generator, kind: str, anneal_steps: int):
-        super().__init__(scenario, rewards, scaling)
-        self.kind = kind
         k, n = scenario.cell_count, scenario.slice_count
-        self._block = n + 1
         mode = "penalty" if kind == "cen_pen" else "softmax_embedded"
-        cfg = Td3Config(
-            state_dim=3 * n * k, action_dim=k * (n + 1), block_size=n + 1,
-            constraint_mode=mode,
-            actor_hidden=hyper.central_actor_hidden,
-            critic_hidden=hyper.central_critic_hidden,
-            gamma=hyper.gamma, batch_size=hyper.batch_size, tau=hyper.tau,
-            policy_delay=hyper.policy_delay, target_noise=hyper.target_noise,
-            noise_clip=hyper.noise_clip, explore_noise=hyper.explore_noise,
-            actor_lr=hyper.actor_lr, critic_lr=hyper.critic_lr,
-            buffer_capacity=hyper.buffer_capacity)
-        self.agent = Td3Agent(cfg, rng)
-        self._eps = _EpsilonSchedule(hyper.epsilon_start, hyper.epsilon_end, anneal_steps)
+        cfg = _agent_config(hyper, 3 * n * k, k * (n + 1), n + 1, mode,
+                            hyper.central_actor_hidden, hyper.central_critic_hidden)
+        super().__init__(scenario, rewards, scaling, Td3Agent(cfg, [rng]), hyper, anneal_steps)
+        self.kind = kind
 
-    def _shape(self, flat: np.ndarray) -> np.ndarray:
-        return flat.reshape(self.scenario.cell_count, self._block)
+    def _states(self, net):
+        return global_state(net, self.scaling)[None]
 
     def act(self, net, phase, step):
-        s = global_state(net, self.scaling)
-        if phase == "explore":
-            prop, act = self.agent.select_action(s, "explore_random")
-        elif phase == "eval":
-            prop, act = self.agent.select_action(s, "eval")
-        else:
-            if self.agent.rng.random() < self._eps.value(step):
-                prop = uniform_simplex(self.agent.rng, self.scenario.cell_count, self._block)
-                act = prop.copy()
-            else:
-                prop, act = self.agent.select_action(s, "train_noisy")
-        return self._shape(prop), self._shape(act)
+        prop, act = self._select(net, phase, step)
+        shape = (self.scenario.cell_count, self.scenario.slice_count + 1)
+        return prop.reshape(shape), act.reshape(shape)
 
     def record(self, prev, proposals, allocation, net):
         raw = reward_global(net, self.rewards)
@@ -210,104 +255,50 @@ class CentralController(Controller):
         else:
             stored = raw
         self.agent.buffer.add(Experience(
-            state=global_state(prev, self.scaling), action=allocation.reshape(-1),
-            proposal=proposals.reshape(-1), reward=stored,
-            next_state=global_state(net, self.scaling)))
+            state=self._observe(prev), proposal=proposals.reshape(1, -1),
+            reward=np.array([stored]), next_state=self._observe(net)))
 
     def train(self, step):
-        d = self.agent.train_step(step)
-        return SchemeDiagnostics(d.critic_loss, d.actor_objective, d.mean_abs_td, d.updated)
-
-    def param_count(self):
-        return self.agent.param_count()
-
-    def total_param_count(self):
-        return self.agent.param_count()
-
-    def checkpoint(self):
-        return {"kind": self.kind, "agent": self.agent.to_dict()}
+        return self._train(step)
 
 
-class DistributedController(Controller):
-    """One independent TD3 agent per cell on local observations.
+class DistributedController(_LearningController):
+    """One independent TD3 agent per cell on local observations, all trained
+    as one stacked learner.
 
     With ``use_messages`` each agent additionally sees the per-slice mean
     load of its neighbours, refreshed from the same network state it acts on.
     """
 
-    trains = True
-
     def __init__(self, scenario, rewards, scaling, hyper: AgentHyperParams,
                  rng: np.random.Generator, use_messages: bool, anneal_steps: int):
-        super().__init__(scenario, rewards, scaling)
+        k, n = scenario.cell_count, scenario.slice_count
+        state_dim = 3 * n + (n if use_messages else 0)
+        cfg = _agent_config(hyper, state_dim, n + 1, n + 1, "softmax_embedded",
+                            hyper.dist_actor_hidden, hyper.dist_critic_hidden)
+        super().__init__(scenario, rewards, scaling, Td3Agent(cfg, rng.spawn(k)), hyper,
+                         anneal_steps)
         self.kind = "dist_comm" if use_messages else "dist"
         self.use_messages = use_messages
-        k, n = scenario.cell_count, scenario.slice_count
-        self._block = n + 1
-        state_dim = 3 * n + (n if use_messages else 0)
-        cfg = Td3Config(
-            state_dim=state_dim, action_dim=n + 1, block_size=n + 1,
-            constraint_mode="softmax_embedded",
-            actor_hidden=hyper.dist_actor_hidden,
-            critic_hidden=hyper.dist_critic_hidden,
-            gamma=hyper.gamma, batch_size=hyper.batch_size, tau=hyper.tau,
-            policy_delay=hyper.policy_delay, target_noise=hyper.target_noise,
-            noise_clip=hyper.noise_clip, explore_noise=hyper.explore_noise,
-            actor_lr=hyper.actor_lr, critic_lr=hyper.critic_lr,
-            buffer_capacity=hyper.buffer_capacity)
-        self.agents = [Td3Agent(cfg, child) for child in rng.spawn(k)]
-        self._eps = _EpsilonSchedule(hyper.epsilon_start, hyper.epsilon_end, anneal_steps)
 
-    def _agent_state(self, net: NetState, k: int) -> np.ndarray:
-        s = local_state(net, k, self.scaling)
+    def _states(self, net):
+        rows = [local_state(net, k, self.scaling) for k in range(self.scenario.cell_count)]
         if self.use_messages:
-            s = np.concatenate([s, extract_message(net, self.scenario.topology, k)])
-        return s
+            rows = [np.concatenate([s, extract_message(net, self.scenario.topology, k)])
+                    for k, s in enumerate(rows)]
+        return np.stack(rows)
 
     def act(self, net, phase, step):
-        k = self.scenario.cell_count
-        props = np.zeros((k, self._block))
-        acts = np.zeros((k, self._block))
-        for i, agent in enumerate(self.agents):
-            s = self._agent_state(net, i)
-            if phase == "explore":
-                p, a = agent.select_action(s, "explore_random")
-            elif phase == "eval":
-                p, a = agent.select_action(s, "eval")
-            elif agent.rng.random() < self._eps.value(step):
-                p = uniform_simplex(agent.rng, 1, self._block)
-                a = p.copy()
-            else:
-                p, a = agent.select_action(s, "train_noisy")
-            props[i], acts[i] = p, a
-        return props, acts
+        return self._select(net, phase, step)
 
     def record(self, prev, proposals, allocation, net):
-        for i, agent in enumerate(self.agents):
-            agent.buffer.add(Experience(
-                state=self._agent_state(prev, i), action=allocation[i],
-                proposal=proposals[i], reward=reward_local(net, self.rewards, i),
-                next_state=self._agent_state(net, i)))
+        rewards = [reward_local(net, self.rewards, k) for k in range(self.scenario.cell_count)]
+        self.agent.buffer.add(Experience(
+            state=self._observe(prev), proposal=proposals, reward=np.array(rewards),
+            next_state=self._observe(net)))
 
     def train(self, step):
-        diags = [agent.train_step(step) for agent in self.agents]
-        losses = [d.critic_loss for d in diags if d.updated]
-        objs = [d.actor_objective for d in diags if d.actor_updated]
-        tds = [d.mean_abs_td for d in diags if d.updated]
-        return SchemeDiagnostics(
-            critic_loss=float(np.mean(losses)) if losses else float("nan"),
-            actor_objective=float(np.mean(objs)) if objs else float("nan"),
-            mean_abs_td=float(np.mean(tds)) if tds else float("nan"),
-            updated=any(d.updated for d in diags))
-
-    def param_count(self):
-        return self.agents[0].param_count()
-
-    def total_param_count(self):
-        return sum(agent.param_count() for agent in self.agents)
-
-    def checkpoint(self):
-        return {"kind": self.kind, "agents": [a.to_dict() for a in self.agents]}
+        return self._train(step)
 
 
 def build_scheme(kind: str, scenario: Scenario, rewards: RewardSpec,

@@ -10,11 +10,30 @@ Two constraint modes for the actor:
 
 Critics always score the raw proposal, which in softmax mode equals the
 executed action.
+
+One ``Td3Agent`` trains A independent, same-shaped agents at once (one per
+cell for the distributed schemes, A = 1 for a central agent). Every array
+carries the agents on a leading member axis:
+
+* the actor and its target are ``Mlp`` stacks with A members;
+* both twin critics share one stack with 2A members: member ``a`` is agent
+  a's first critic and member ``A + a`` its second; the targets mirror it;
+* each stack's parameters are one flat ``(E, P)`` array, so Adam, the
+  Polyak update and checkpointing each touch one array per family;
+* the replay buffer stores ``(capacity, A, d)`` arrays and samples
+  ``(A, batch, d)`` batches.
+
+Agents never mix: member a's outputs and gradients depend only on agent a's
+parameters and data. Each agent keeps its own ``Generator`` and draws from
+it in the same order a lone agent would: at init its actor, first critic
+and second critic; in ``select_action`` the epsilon draw, then the simplex
+or exploration-noise draw (or the random proposal when exploring); in
+``train_step`` the replay indices, then the target-smoothing noise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,44 +46,49 @@ ACTION_MODES = ("explore_random", "train_noisy", "eval")
 
 @dataclass
 class Experience:
-    state: np.ndarray
-    action: np.ndarray  # executed, on-simplex
-    proposal: np.ndarray  # raw actor output, pre-projection
-    reward: float
-    next_state: np.ndarray
+    """One step of every agent: arrays carry the member axis first."""
+
+    state: np.ndarray  # (A, state_dim)
+    proposal: np.ndarray  # (A, action_dim) raw actor output, pre-projection
+    reward: np.ndarray  # (A,)
+    next_state: np.ndarray  # (A, state_dim)
 
 
 @dataclass
 class Batch:
-    states: np.ndarray
+    states: np.ndarray  # (A, batch, state_dim)
     proposals: np.ndarray
-    rewards: np.ndarray
+    rewards: np.ndarray  # (A, batch)
     next_states: np.ndarray
 
     @property
     def size(self) -> int:
-        return self.states.shape[0]
+        return self.states.shape[-2]
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring buffer over flat experience arrays."""
+    """Fixed-capacity ring buffer over flat experience arrays; each slot holds
+    one row per agent, so the agents share the cursor.
 
-    def __init__(self, capacity: int, state_dim: int, action_dim: int):
+    Slots come first (``(capacity, A, d)``): a partly filled buffer then
+    touches one contiguous region, not A of them, which keeps the memory of
+    its large, lazily mapped arrays low.
+    """
+
+    def __init__(self, capacity: int, state_dim: int, action_dim: int, members: int = 1):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self.size = 0
         self._cursor = 0
-        self._states = np.zeros((capacity, state_dim))
-        self._actions = np.zeros((capacity, action_dim))
-        self._proposals = np.zeros((capacity, action_dim))
-        self._rewards = np.zeros(capacity)
-        self._next_states = np.zeros((capacity, state_dim))
+        self._states = np.zeros((capacity, members, state_dim))
+        self._proposals = np.zeros((capacity, members, action_dim))
+        self._rewards = np.zeros((capacity, members))
+        self._next_states = np.zeros((capacity, members, state_dim))
 
     def add(self, exp: Experience) -> None:
         i = self._cursor
         self._states[i] = exp.state
-        self._actions[i] = exp.action
         self._proposals[i] = exp.proposal
         self._rewards[i] = exp.reward
         self._next_states[i] = exp.next_state
@@ -77,14 +101,16 @@ class ReplayBuffer:
             raise IndexError("buffer index out of range")
         base = self._cursor if self.size == self.capacity else 0
         j = (base + i) % self.capacity
-        return Experience(self._states[j].copy(), self._actions[j].copy(),
-                          self._proposals[j].copy(), float(self._rewards[j]),
-                          self._next_states[j].copy())
+        return Experience(self._states[j].copy(), self._proposals[j].copy(),
+                          self._rewards[j].copy(), self._next_states[j].copy())
 
-    def sample(self, rng: np.random.Generator, batch_size: int) -> Batch:
-        idx = rng.integers(0, self.size, size=batch_size)
-        return Batch(states=self._states[idx], proposals=self._proposals[idx],
-                     rewards=self._rewards[idx], next_states=self._next_states[idx])
+    def sample(self, rngs: list[np.random.Generator], batch_size: int) -> Batch:
+        """Agent a's rows at indices drawn from ``rngs[a]``."""
+        idx = np.stack([rng.integers(0, self.size, size=batch_size) for rng in rngs])
+        agents = np.arange(len(rngs))[:, None]
+        return Batch(states=self._states[idx, agents], proposals=self._proposals[idx, agents],
+                     rewards=self._rewards[idx, agents],
+                     next_states=self._next_states[idx, agents])
 
 
 def soft_update(online: list[np.ndarray], target: list[np.ndarray], tau: float) -> None:
@@ -130,140 +156,165 @@ class Td3Config:
 
 @dataclass
 class TrainDiagnostics:
+    """Per-agent values, each (A,); NaN where no update ran."""
+
     updated: bool
     actor_updated: bool
-    critic_loss: float
-    actor_objective: float
-    mean_abs_td: float
+    critic_loss: np.ndarray
+    actor_objective: np.ndarray
+    mean_abs_td: np.ndarray
 
 
 class Td3Agent:
-    """One TD3 learner: actor, twin critics, their targets, three Adams."""
+    """TD3 learner for A same-shaped agents, one per ``Generator`` in ``rngs``:
+    a stacked actor, a stacked twin-critic pair, their targets, two Adams."""
 
-    def __init__(self, config: Td3Config, rng: np.random.Generator):
+    def __init__(self, config: Td3Config, rngs: list[np.random.Generator]):
         self.config = config
-        self._rng = rng
+        self.rngs = list(rngs)
         c = config
         head = "softmax_blocks" if c.constraint_mode == "softmax_embedded" else "sigmoid"
         actor_spec = MlpSpec((c.state_dim, *c.actor_hidden, c.action_dim), head=head,
                              block_size=c.block_size if head == "softmax_blocks" else 0)
         critic_spec = MlpSpec((c.state_dim + c.action_dim, *c.critic_hidden, 1), head="linear")
-        self.actor = Mlp.init(rng, actor_spec)
-        self.critic1 = Mlp.init(rng, critic_spec)
-        self.critic2 = Mlp.init(rng, critic_spec)
+        actors, twins1, twins2 = [], [], []
+        for rng in self.rngs:
+            actors.append(Mlp.init(rng, actor_spec))
+            twins1.append(Mlp.init(rng, critic_spec))
+            twins2.append(Mlp.init(rng, critic_spec))
+        self.actor = Mlp.stack(actors)
+        self.critics = Mlp.stack(twins1 + twins2)
         self.actor_target = self.actor.copy()
-        self.critic1_target = self.critic1.copy()
-        self.critic2_target = self.critic2.copy()
-        self.actor_opt = Adam(self.actor.parameters(), lr=c.actor_lr)
-        self.critic1_opt = Adam(self.critic1.parameters(), lr=c.critic_lr)
-        self.critic2_opt = Adam(self.critic2.parameters(), lr=c.critic_lr)
-        self.buffer = ReplayBuffer(c.buffer_capacity, c.state_dim, c.action_dim)
+        self.critics_target = self.critics.copy()
+        self.actor_opt = Adam([self.actor.flat], lr=c.actor_lr)
+        self.critic_opt = Adam([self.critics.flat], lr=c.critic_lr)
+        # gradient buffers, reused by every update
+        self._actor_grad = np.empty_like(self.actor.flat)
+        self._critic_grad = np.empty_like(self.critics.flat)
+        self.buffer = ReplayBuffer(c.buffer_capacity, c.state_dim, c.action_dim,
+                                   members=self.members)
 
     @property
-    def rng(self) -> np.random.Generator:
-        """The agent's private stream (exploration, smoothing, sampling)."""
-        return self._rng
+    def members(self) -> int:
+        """Number of agents A."""
+        return len(self.rngs)
 
     # -- acting ---------------------------------------------------------------
 
-    def _random_proposal(self) -> np.ndarray:
+    def _random_proposal(self, rng: np.random.Generator) -> np.ndarray:
         c = self.config
         if c.constraint_mode == "softmax_embedded":
-            return uniform_simplex(self._rng, c.action_dim // c.block_size, c.block_size)
+            return uniform_simplex(rng, c.action_dim // c.block_size, c.block_size)
         # raw box sample: lets the penalty agent experience violations
-        return self._rng.random(c.action_dim)
+        return rng.random(c.action_dim)
 
-    def _execute(self, proposal: np.ndarray) -> np.ndarray:
-        c = self.config
-        rows = project_or_reject(proposal.reshape(-1, c.block_size))
-        return rows.reshape(-1)
+    def _execute(self, proposals: np.ndarray) -> np.ndarray:
+        rows = project_or_reject(proposals.reshape(-1, self.config.block_size))
+        return rows.reshape(proposals.shape)
 
-    def select_action(self, state: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
-        """Return (raw proposal, executed on-simplex action), both flat."""
+    def select_action(self, states: np.ndarray, mode: str,
+                      epsilon: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Return (raw proposals, executed on-simplex actions), both (A, action_dim),
+        for states of shape (A, state_dim).
+
+        In ``train_noisy`` mode with an ``epsilon``, each agent first draws
+        u; u < epsilon replaces its actor output by a uniform simplex draw,
+        executed as drawn. Only proposals the actor produced are checked for
+        non-finite values.
+        """
         if mode not in ACTION_MODES:
             raise ValueError(f"unknown action mode {mode!r}")
         c = self.config
         if mode == "explore_random":
-            proposal = self._random_proposal()
-        else:
-            # exploration perturbs the raw pre-head outputs, so the head
-            # nonlinearity keeps noisy proposals in their natural range
-            z = self.actor.logits(state)
-            if mode == "train_noisy":
-                z = z + self._rng.normal(0.0, c.explore_noise, size=z.shape)
-            proposal = self.actor.apply_head(z)
-        if not np.isfinite(proposal).all():
+            proposals = np.stack([self._random_proposal(rng) for rng in self.rngs])
+            return proposals, self._execute(proposals)
+        z = self.actor.logits(states)
+        drawn = np.zeros(self.members, dtype=bool)  # took a simplex draw, not the actor
+        simplex = np.empty_like(z)
+        if mode == "train_noisy":
+            for i, rng in enumerate(self.rngs):
+                if epsilon is not None and rng.random() < epsilon:
+                    drawn[i] = True
+                    simplex[i] = uniform_simplex(rng, c.action_dim // c.block_size, c.block_size)
+                else:
+                    # exploration perturbs the raw pre-head outputs, so the head
+                    # nonlinearity keeps noisy proposals in their natural range
+                    z[i] += rng.normal(0.0, c.explore_noise, size=c.action_dim)
+        proposals = self.actor.apply_head(z)
+        if not np.isfinite(proposals[~drawn]).all():
             raise FloatingPointError("actor produced a non-finite action")
-        return proposal, self._execute(proposal)
+        proposals[drawn] = simplex[drawn]
+        executed = self._execute(proposals)
+        executed[drawn] = proposals[drawn]
+        return proposals, executed
 
     # -- learning -------------------------------------------------------------
 
     def _smoothed_target_actions(self, next_states: np.ndarray) -> np.ndarray:
         c = self.config
-        noise = np.clip(self._rng.normal(0.0, c.target_noise, size=(next_states.shape[0], c.action_dim)),
-                        -c.noise_clip, c.noise_clip)
+        shape = (next_states.shape[-2], c.action_dim)
+        noise = np.stack([rng.normal(0.0, c.target_noise, size=shape) for rng in self.rngs])
+        noise = np.clip(noise, -c.noise_clip, c.noise_clip)
         z = self.actor_target.logits(next_states)
         return self.actor_target.apply_head(z + noise)
 
     def compute_targets(self, rewards: np.ndarray, next_states: np.ndarray) -> np.ndarray:
         """TD targets g = r + gamma * min of the twin target critics at the
-        smoothed target-policy action."""
+        smoothed target-policy action; (A, batch)."""
         a2 = self._smoothed_target_actions(next_states)
-        x2 = np.concatenate([next_states, a2], axis=1)
-        q1 = self.critic1_target.forward(x2)[:, 0]
-        q2 = self.critic2_target.forward(x2)[:, 0]
-        return rewards + self.config.gamma * np.minimum(q1, q2)
+        x2 = np.concatenate([next_states, a2], axis=-1)
+        q = self.critics_target.forward(np.concatenate([x2, x2]))[..., 0]
+        return rewards + self.config.gamma * np.minimum(q[:self.members], q[self.members:])
 
-    def critic_update(self, batch: Batch) -> tuple[float, float]:
-        """One TD regression step on both critics; returns (pre-update MSE
-        loss summed over the twins, mean |TD error| of critic 1)."""
+    def critic_update(self, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
+        """One TD regression step on every critic; returns per agent the
+        pre-update MSE loss summed over its twins and the mean |TD error| of
+        its first critic."""
+        a = self.members
         g = self.compute_targets(batch.rewards, batch.next_states)
-        x = np.concatenate([batch.states, batch.proposals], axis=1)
-        b = batch.size
-        loss = 0.0
-        mean_abs_td = 0.0
-        for critic, opt in ((self.critic1, self.critic1_opt), (self.critic2, self.critic2_opt)):
-            q, cache = critic.forward_cached(x)
-            td = q[:, 0] - g
-            loss += float(np.mean(td ** 2))
-            if critic is self.critic1:
-                mean_abs_td = float(np.mean(np.abs(td)))
-            grads, _ = critic.backward(cache, (2.0 * td / b)[:, None])
-            opt.step(critic.parameters(), grads)
-        return loss, mean_abs_td
+        x = np.concatenate([batch.states, batch.proposals], axis=-1)
+        # both twins of agent i (members i and a + i) regress on agent i's batch
+        q, cache = self.critics.forward_cached(np.concatenate([x, x]))
+        td = q[..., 0] - np.concatenate([g, g])
+        mse = np.mean(td ** 2, axis=-1)
+        self.critics.backward(cache, (2.0 * td / batch.size)[..., None], out=self._critic_grad)
+        self.critic_opt.step([self.critics.flat], [self._critic_grad])
+        return mse[:a] + mse[a:], np.mean(np.abs(td[:a]), axis=-1)
 
-    def actor_gradients(self, batch: Batch) -> tuple[float, list[np.ndarray]]:
-        """Objective mean Q1(s, pi(s)) and the gradients of its negation."""
+    def actor_gradients(self, batch: Batch) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Per-agent objective mean Q1(s, pi(s)) and the gradients of its
+        negation, shaped like ``actor.parameters()`` (views into the actor's
+        gradient buffer)."""
+        critic1 = self.critics.member(slice(0, self.members))
         a, actor_cache = self.actor.forward_cached(batch.states)
-        x = np.concatenate([batch.states, a], axis=1)
-        q, critic_cache = self.critic1.forward_cached(x)
-        objective = float(np.mean(q))
+        x = np.concatenate([batch.states, a], axis=-1)
+        q, critic_cache = critic1.forward_cached(x)
+        objective = np.mean(q[..., 0], axis=-1)
         b = batch.size
-        _, gx = self.critic1.backward(critic_cache, np.full((b, 1), 1.0 / b))
-        dq_da = gx[:, self.config.state_dim:]
-        grads, _ = self.actor.backward(actor_cache, -dq_da)
+        _, gx = critic1.backward(critic_cache, np.full(q.shape, 1.0 / b))
+        dq_da = gx[..., self.config.state_dim:]
+        grads, _ = self.actor.backward(actor_cache, -dq_da, out=self._actor_grad)
         return objective, grads
 
-    def actor_update(self, batch: Batch) -> float:
+    def actor_update(self, batch: Batch) -> np.ndarray:
         """Ascend mean Q1(s, pi(s)); critics are read, never written."""
-        objective, grads = self.actor_gradients(batch)
-        self.actor_opt.step(self.actor.parameters(), grads)
+        objective, _ = self.actor_gradients(batch)
+        self.actor_opt.step([self.actor.flat], [self._actor_grad])
         return objective
 
     def sync_targets(self) -> None:
-        tau = self.config.tau
-        soft_update(self.actor.parameters(), self.actor_target.parameters(), tau)
-        soft_update(self.critic1.parameters(), self.critic1_target.parameters(), tau)
-        soft_update(self.critic2.parameters(), self.critic2_target.parameters(), tau)
+        soft_update([self.actor.flat, self.critics.flat],
+                    [self.actor_target.flat, self.critics_target.flat], self.config.tau)
 
     def train_step(self, step: int) -> TrainDiagnostics:
         """Critic update every call; actor and targets every policy_delay."""
         c = self.config
+        skipped = np.full(self.members, np.nan)
         if self.buffer.size < c.batch_size:
-            return TrainDiagnostics(False, False, float("nan"), float("nan"), float("nan"))
-        batch = self.buffer.sample(self._rng, c.batch_size)
+            return TrainDiagnostics(False, False, skipped, skipped, skipped)
+        batch = self.buffer.sample(self.rngs, c.batch_size)
         loss, mean_abs_td = self.critic_update(batch)
-        actor_obj = float("nan")
+        actor_obj = skipped
         actor_updated = step % c.policy_delay == 0
         if actor_updated:
             actor_obj = self.actor_update(batch)
@@ -273,29 +324,27 @@ class Td3Agent:
     # -- checkpointing ----------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """All six networks plus optimizer states (not the RNG stream)."""
+        """All four network stacks plus optimizer states (not the RNG streams)."""
         return {
             "actor": self.actor.to_dict(),
-            "critic1": self.critic1.to_dict(),
-            "critic2": self.critic2.to_dict(),
+            "critics": self.critics.to_dict(),
             "actor_target": self.actor_target.to_dict(),
-            "critic1_target": self.critic1_target.to_dict(),
-            "critic2_target": self.critic2_target.to_dict(),
+            "critics_target": self.critics_target.to_dict(),
             "actor_opt": self.actor_opt.to_dict(),
-            "critic1_opt": self.critic1_opt.to_dict(),
-            "critic2_opt": self.critic2_opt.to_dict(),
+            "critic_opt": self.critic_opt.to_dict(),
         }
 
     def load_dict(self, data: dict) -> None:
-        self.actor = Mlp.from_dict(data["actor"])
-        self.critic1 = Mlp.from_dict(data["critic1"])
-        self.critic2 = Mlp.from_dict(data["critic2"])
-        self.actor_target = Mlp.from_dict(data["actor_target"])
-        self.critic1_target = Mlp.from_dict(data["critic1_target"])
-        self.critic2_target = Mlp.from_dict(data["critic2_target"])
+        nets = {name: Mlp.from_dict(data[name])
+                for name in ("actor", "critics", "actor_target", "critics_target")}
+        if (nets["actor"].flat.shape != self.actor.flat.shape
+                or nets["critics"].flat.shape != self.critics.flat.shape):
+            raise ValueError("checkpoint networks do not match this agent's shapes")
+        for name, net in nets.items():
+            setattr(self, name, net)
         self.actor_opt = Adam.from_dict(data["actor_opt"])
-        self.critic1_opt = Adam.from_dict(data["critic1_opt"])
-        self.critic2_opt = Adam.from_dict(data["critic2_opt"])
+        self.critic_opt = Adam.from_dict(data["critic_opt"])
 
     def param_count(self) -> int:
-        return self.actor.param_count() + self.critic1.param_count() + self.critic2.param_count()
+        """Parameters of one agent: its actor and both critics."""
+        return self.actor.param_count() + 2 * self.critics.param_count()

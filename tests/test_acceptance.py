@@ -18,6 +18,8 @@ from slicesim.harness.runner import run_experiment, run_single
 from slicesim.netsim import Topology, solve_coupled_loads
 from slicesim.nn import Mlp, MlpSpec
 
+pytestmark = pytest.mark.acceptance
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 # frozen output of `slicesim oracle grid --config configs/toy.json`; the

@@ -93,6 +93,32 @@ def test_negative_phase_rejected():
         parse_config(data)
 
 
+def test_all_zero_phases_rejected():
+    # a run of zero steps has nothing to summarize
+    with pytest.raises(ConfigError, match="phases"):
+        parse_config(tiny_config_data(phases=(0, 0, 0)))
+
+
+@pytest.mark.parametrize("agent, path", [
+    ({"tau": 5.0}, "agent.tau"),
+    ({"gamma": 2.0}, "agent.gamma"),
+    ({"epsilon_start": 1.5}, "agent.epsilon_start"),
+    ({"epsilon_end": 2.0}, "agent.epsilon_end"),
+    ({"epsilon_start": 0.2, "epsilon_end": 0.3}, "agent.epsilon_end"),
+])
+def test_agent_fraction_out_of_range_rejected(agent, path):
+    data = tiny_config_data()
+    data["agent"] = agent
+    with pytest.raises(ConfigError, match=path.replace(".", r"\.")):
+        parse_config(data)
+
+
+def test_agent_fractions_at_their_bounds_accepted():
+    data = tiny_config_data()
+    data["agent"] = {"tau": 1.0, "gamma": 1.0, "epsilon_start": 0.0, "epsilon_end": 0.0}
+    assert parse_config(data).hyper.tau == 1.0
+
+
 def test_empty_seed_list_rejected():
     data = tiny_config_data()
     data["seeds"] = []

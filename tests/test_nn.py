@@ -187,6 +187,48 @@ def test_backward_sums_over_batch():
 
 
 # ---------------------------------------------------------------------------
+# member axis
+# ---------------------------------------------------------------------------
+
+
+def test_stack_matches_its_members_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for head in ("linear", "sigmoid", "softmax_blocks"):
+        spec = MlpSpec((5, 8, 7, 6), head=head, block_size=3 if head == "softmax_blocks" else 0)
+        nets = [Mlp.init(rng, spec) for _ in range(3)]
+        stack = Mlp.stack(nets)
+        x, v = rng.normal(size=(3, 4, 5)), rng.normal(size=(3, 4, 6))
+        y, cache = stack.forward_cached(x)
+        grad = np.empty_like(stack.flat)
+        grads, gx = stack.backward(cache, v, out=grad)
+        assert all(np.shares_memory(g, grad) for g in grads)
+        for e, net in enumerate(nets):
+            ye, ce = net.forward_cached(x[e])
+            ge, gxe = net.backward(ce, v[e])
+            assert np.array_equal(y[e], ye) and np.array_equal(gx[e], gxe)
+            for g, g_e in zip(grads, ge):
+                assert np.array_equal(g[e], g_e)
+            assert np.array_equal(stack.logits(x[:, 0])[e], net.logits(x[e, 0]))
+
+
+def test_parameters_are_views_of_the_flat_array():
+    net = Mlp.stack([Mlp.init(np.random.default_rng(i), MlpSpec((3, 4, 2))) for i in range(2)])
+    net.member(1).weights[0][0, 0] = 5.0
+    assert net.flat[1, 0] == 5.0 and net.weights[0][1, 0, 0] == 5.0
+    net.flat[0] = 0.0
+    assert all(np.all(p[0] == 0) for p in net.parameters())
+    assert net.param_count() == 3 * 4 + 4 + 4 * 2 + 2
+
+
+def test_stack_rejects_inputs_without_the_member_axis():
+    net = Mlp.stack([Mlp.init(np.random.default_rng(i), MlpSpec((3, 2))) for i in range(2)])
+    with pytest.raises(ValueError):
+        net.forward(np.ones(3))
+    with pytest.raises(ValueError):
+        net.forward(np.ones((3, 4, 3)))
+
+
+# ---------------------------------------------------------------------------
 # Adam
 # ---------------------------------------------------------------------------
 
@@ -226,6 +268,25 @@ def test_adam_zero_lr_is_identity():
     for _ in range(5):
         opt.step(p, [rng.normal(size=(3, 2))])
     assert np.array_equal(p[0], keep)
+
+
+def test_adam_matches_textbook_update_bit_for_bit():
+    rng = np.random.default_rng(8)
+    p = [rng.normal(size=(2, 5)), rng.normal(size=3)]
+    ref = [a.copy() for a in p]
+    m = [np.zeros_like(a) for a in p]
+    v = [np.zeros_like(a) for a in p]
+    opt = Adam(p, lr=0.01)
+    for t in range(1, 6):
+        grads = [rng.normal(size=a.shape) for a in p]
+        opt.step(p, grads)
+        c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+        for r, g, mi, vi in zip(ref, grads, m, v):
+            mi[:] = 0.9 * mi + (1.0 - 0.9) * g
+            vi[:] = 0.999 * vi + (1.0 - 0.999) * np.square(g)
+            r -= 0.01 * (mi / c1) / (np.sqrt(vi / c2) + 1e-8)
+        for a, r in zip(p, ref):
+            assert np.array_equal(a, r)
 
 
 def test_adam_rejects_non_finite_gradient():

@@ -76,15 +76,15 @@ def test_central_dimensions_nine_cells():
 
 def test_dist_comm_state_dimension_nine_cells():
     ctl, *_ = controller("dist_comm", k=9, hyper=small_hyper())
-    assert len(ctl.agents) == 9
-    assert ctl.agents[0].config.state_dim == 8
-    assert ctl.agents[0].config.action_dim == 3
+    assert ctl.agent.members == 9
+    assert ctl.agent.config.state_dim == 8
+    assert ctl.agent.config.action_dim == 3
 
 
 def test_dist_dimensions_three_cells():
     ctl, *_ = controller("dist")
-    assert len(ctl.agents) == 3
-    assert all(a.config.state_dim == 6 and a.config.action_dim == 3 for a in ctl.agents)
+    assert ctl.agent.members == 3
+    assert ctl.agent.config.state_dim == 6 and ctl.agent.config.action_dim == 3
 
 
 def test_unknown_kind_rejected():
@@ -174,9 +174,9 @@ def test_dist_buffers_grow_by_one_per_record():
     net = make_net(sc)
     props, alloc = ctl.act(net, "explore", 0)
     ctl.record(net, props, alloc, net)
-    assert all(agent.buffer.size == 1 for agent in ctl.agents)
+    assert ctl.agent.buffer.size == 1
     ctl.record(net, props, alloc, net)
-    assert all(agent.buffer.size == 2 for agent in ctl.agents)
+    assert ctl.agent.buffer.size == 2
 
 
 def test_dist_stores_local_rewards():
@@ -184,8 +184,8 @@ def test_dist_stores_local_rewards():
     net = make_net(sc)
     props, alloc = ctl.act(net, "explore", 0)
     ctl.record(net, props, alloc, net)
-    for k, agent in enumerate(ctl.agents):
-        assert agent.buffer.peek(0).reward == pytest.approx(reward_local(net, rewards, k))
+    for k in range(sc.cell_count):
+        assert ctl.agent.buffer.peek(0).reward[k] == pytest.approx(reward_local(net, rewards, k))
 
 
 def test_cen_soft_stores_global_reward():
@@ -193,7 +193,7 @@ def test_cen_soft_stores_global_reward():
     net = make_net(sc)
     props, alloc = ctl.act(net, "explore", 0)
     ctl.record(net, props, alloc, net)
-    assert ctl.agent.buffer.peek(0).reward == pytest.approx(reward_global(net, rewards))
+    assert ctl.agent.buffer.peek(0).reward[0] == pytest.approx(reward_global(net, rewards))
 
 
 def test_cen_pen_stores_penalized_reward():
@@ -203,13 +203,13 @@ def test_cen_pen_stores_penalized_reward():
     ctl.record(net, props, alloc, net)
     expect = reward_penalized(reward_global(net, rewards), props, rewards.beta,
                               aggregate=rewards.penalty_aggregate)
-    assert ctl.agent.buffer.peek(0).reward == pytest.approx(expect)
+    assert ctl.agent.buffer.peek(0).reward[0] == pytest.approx(expect)
 
 
 def test_dist_comm_state_includes_message():
     ctl, sc, *_ = controller("dist_comm")
     net = make_net(sc, load=0.42)
-    s = ctl._agent_state(net, 0)
+    s = ctl._states(net)[0]
     assert s.shape == (8,)
     # every neighbour runs at load 0.42, so the message is exactly that
     assert s[6:] == pytest.approx([0.42, 0.42])
@@ -222,9 +222,7 @@ def test_dist_comm_state_includes_message():
 
 def test_dist_symmetry_with_shared_weights():
     ctl, sc, *_ = controller("dist")
-    donor = ctl.agents[0].actor
-    for agent in ctl.agents[1:]:
-        agent.actor = donor.copy()
+    ctl.agent.actor.flat[1:] = ctl.agent.actor.flat[0]
     k, n = sc.cell_count, sc.slice_count
     net = NetState(throughput=np.full((k, n), 2e6), delay=np.full((k, n), 5e-4),
                    load=np.full((k, n), 0.3), users=np.full((k, n), 2), t=1)
@@ -251,7 +249,7 @@ def test_dist_comm_reduces_to_dist_when_messages_zero():
     hyper = small_hyper()
     dist = build("dist", sc, rewards, scaling, hyper, np.random.default_rng(1), 100)
     comm = build("dist_comm", sc, rewards, scaling, hyper, np.random.default_rng(2), 100)
-    da, ca = dist.agents[0].actor, comm.agents[0].actor
+    da, ca = dist.agent.actor.member(0), comm.agent.actor.member(0)
     ca.weights[0][:6, :] = da.weights[0]
     ca.weights[0][6:, :] = 0.0
     for i in range(1, len(da.weights)):
@@ -276,13 +274,12 @@ def test_training_changes_parameters_and_is_deterministic():
             nxt = make_net(sc, rng)
             ctl.record(net, props, alloc, nxt)
             net = nxt
-        agent = ctl.agent if kind.startswith("cen") else ctl.agents[0]
-        before = [p.copy() for p in agent.critic1.parameters()]
+        before = [p.copy() for p in ctl.agent.critics.parameters()]
         for step in range(6):
             ctl.train(step)
-        after = agent.critic1.parameters()
+        after = ctl.agent.critics.parameters()
         assert any(not np.array_equal(a, b) for a, b in zip(before, after))
-        return [p.copy() for p in agent.actor.parameters()]
+        return [p.copy() for p in ctl.agent.actor.parameters()]
 
     for kind in ("cen_soft", "dist"):
         p1, p2 = run(kind), run(kind)

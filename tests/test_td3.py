@@ -1,4 +1,9 @@
-"""TD3 learner tests: buffer, targets, updates, schedules, checkpoints."""
+"""TD3 learner tests: buffer, targets, updates, schedules, checkpoints.
+
+Most tests drive a single agent (A = 1), so arrays carry a member axis of
+length one; the stacked-agent tests at the end compare A agents trained
+together with the same agents trained one by one.
+"""
 
 import json
 
@@ -23,17 +28,17 @@ def make_agent(seed=0, **kw):
                     actor_hidden=(16, 12), critic_hidden=(16, 12),
                     buffer_capacity=512)
     defaults.update(kw)
-    return Td3Agent(Td3Config(**defaults), np.random.default_rng(seed))
+    return Td3Agent(Td3Config(**defaults), [np.random.default_rng(seed)])
 
 
 def fill_buffer(agent, n, seed=1, reward_fn=None):
     rng = np.random.default_rng(seed)
     c = agent.config
     for _ in range(n):
-        s = rng.random(c.state_dim)
-        prop, act = agent.select_action(s, "explore_random")
+        s = rng.random((1, c.state_dim))
+        prop, _ = agent.select_action(s, "explore_random")
         r = float(rng.random()) if reward_fn is None else reward_fn(s, prop)
-        agent.buffer.add(Experience(s, act, prop, r, rng.random(c.state_dim)))
+        agent.buffer.add(Experience(s, prop, np.array([r]), rng.random((1, c.state_dim))))
 
 
 def set_constant_net(net: Mlp, value: float):
@@ -52,22 +57,22 @@ def set_constant_net(net: Mlp, value: float):
 def test_buffer_capacity_and_fifo():
     buf = ReplayBuffer(3, state_dim=1, action_dim=1)
     for i in range(5):
-        buf.add(Experience(np.array([float(i)]), np.array([1.0]),
-                           np.array([1.0]), float(i), np.array([0.0])))
+        buf.add(Experience(np.array([[float(i)]]), np.array([[1.0]]),
+                           np.array([float(i)]), np.array([[0.0]])))
     assert buf.size == 3
     # oldest two evicted; survivors in insertion order are 2, 3, 4
-    assert [buf.peek(i).reward for i in range(3)] == [2.0, 3.0, 4.0]
+    assert [buf.peek(i).reward[0] for i in range(3)] == [2.0, 3.0, 4.0]
 
 
 def test_buffer_sample_shapes_and_determinism():
     buf = ReplayBuffer(16, state_dim=2, action_dim=3)
     rng = np.random.default_rng(0)
     for _ in range(10):
-        buf.add(Experience(rng.random(2), rng.random(3), rng.random(3),
-                           float(rng.random()), rng.random(2)))
-    a = buf.sample(np.random.default_rng(5), 4)
-    b = buf.sample(np.random.default_rng(5), 4)
-    assert a.states.shape == (4, 2) and a.proposals.shape == (4, 3)
+        buf.add(Experience(rng.random((1, 2)), rng.random((1, 3)),
+                           rng.random(1), rng.random((1, 2))))
+    a = buf.sample([np.random.default_rng(5)], 4)
+    b = buf.sample([np.random.default_rng(5)], 4)
+    assert a.states.shape == (1, 4, 2) and a.proposals.shape == (1, 4, 3)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.rewards, b.rewards)
 
@@ -97,7 +102,7 @@ def test_soft_update_extremes_and_arithmetic():
 
 def test_softmax_eval_action_on_simplex():
     agent = make_agent()
-    prop, act = agent.select_action(np.random.default_rng(1).random(4), "eval")
+    prop, act = agent.select_action(np.random.default_rng(1).random((1, 4)), "eval")
     assert np.array_equal(prop, act)
     assert act.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.all(act >= 0)
@@ -106,7 +111,7 @@ def test_softmax_eval_action_on_simplex():
 def test_explore_random_reproducible():
     a1 = make_agent(seed=7)
     a2 = make_agent(seed=7)
-    s = np.zeros(4)
+    s = np.zeros((1, 4))
     p1, e1 = a1.select_action(s, "explore_random")
     p2, e2 = a2.select_action(s, "explore_random")
     assert np.array_equal(p1, p2) and np.array_equal(e1, e2)
@@ -115,27 +120,27 @@ def test_explore_random_reproducible():
 
 def test_penalty_mode_proposal_and_projection():
     agent = make_agent(constraint_mode="penalty")
-    s = np.random.default_rng(2).random(4)
+    s = np.random.default_rng(2).random((1, 4))
     prop, act = agent.select_action(s, "eval")
     # sigmoid outputs will not generally sum to 1
     assert abs(prop.sum() - 1.0) > 1e-6
-    assert np.allclose(act, project_or_reject(prop.reshape(1, -1)).reshape(-1))
+    assert np.allclose(act, project_or_reject(prop))
     assert act.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_train_noisy_respects_simplex_in_softmax_mode():
     agent = make_agent(seed=3)
     for _ in range(10):
-        _, act = agent.select_action(np.random.default_rng(4).random(4), "train_noisy")
+        _, act = agent.select_action(np.random.default_rng(4).random((1, 4)), "train_noisy")
         assert act.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(act >= 0)
 
 
 def test_non_finite_actor_output_is_fatal():
     agent = make_agent()
-    agent.actor.weights[0][0, 0] = np.nan
+    agent.actor.weights[0][0, 0, 0] = np.nan
     with pytest.raises(FloatingPointError):
-        agent.select_action(np.ones(4), "eval")
+        agent.select_action(np.ones((1, 4)), "eval")
 
 
 # ---------------------------------------------------------------------------
@@ -145,52 +150,48 @@ def test_non_finite_actor_output_is_fatal():
 
 def test_targets_use_min_of_twin_critics():
     agent = make_agent(gamma=0.5)
-    set_constant_net(agent.critic1_target, 5.0)
-    set_constant_net(agent.critic2_target, 3.0)
-    g = agent.compute_targets(np.array([1.0, 2.0]), np.zeros((2, 4)))
-    assert g == pytest.approx([1.0 + 0.5 * 3.0, 2.0 + 0.5 * 3.0])
+    set_constant_net(agent.critics_target.member(0), 5.0)
+    set_constant_net(agent.critics_target.member(1), 3.0)
+    g = agent.compute_targets(np.array([[1.0, 2.0]]), np.zeros((1, 2, 4)))
+    assert g[0] == pytest.approx([1.0 + 0.5 * 3.0, 2.0 + 0.5 * 3.0])
 
 
 def test_critic_regresses_to_reward_when_gamma_zero():
     agent = make_agent(gamma=0.0, batch_size=4)
     s = np.full(4, 0.3)
     prop = np.array([0.2, 0.5, 0.3])
-    exp = Experience(s, prop, prop, 0.6180, np.zeros(4))
+    exp = Experience(s[None], prop[None], np.array([0.6180]), np.zeros((1, 4)))
     for _ in range(8):
         agent.buffer.add(exp)
-    batch = agent.buffer.sample(np.random.default_rng(0), 4)
+    batch = agent.buffer.sample([np.random.default_rng(0)], 4)
     for _ in range(600):
         agent.critic_update(batch)
-    q = agent.critic1.forward(np.concatenate([s, prop]))
+    q = agent.critics.member(0).forward(np.concatenate([s, prop]))
     assert q[0] == pytest.approx(0.6180, abs=1e-2)
 
 
 def test_identical_twins_stay_identical():
     agent = make_agent(seed=11)
-    agent.critic2 = agent.critic1.copy()
-    agent.critic2_target = agent.critic1_target.copy()
-    agent.critic2_opt = type(agent.critic2_opt)(agent.critic2.parameters(),
-                                                lr=agent.config.critic_lr)
-    agent.critic1_opt = type(agent.critic1_opt)(agent.critic1.parameters(),
-                                                lr=agent.config.critic_lr)
+    # member 0 is the first twin and member 1 the second, sharing one Adam
+    agent.critics.flat[1] = agent.critics.flat[0]
+    agent.critics_target.flat[1] = agent.critics_target.flat[0]
     fill_buffer(agent, 64)
     for step in range(5):
-        batch = agent.buffer.sample(np.random.default_rng(step), agent.config.batch_size)
+        batch = agent.buffer.sample([np.random.default_rng(step)], agent.config.batch_size)
         agent.critic_update(batch)
-    for p1, p2 in zip(agent.critic1.parameters(), agent.critic2.parameters()):
+    for p1, p2 in zip(agent.critics.member(0).parameters(), agent.critics.member(1).parameters()):
         assert np.array_equal(p1, p2)
 
 
 def test_critic_update_returns_pre_update_loss():
     agent = make_agent(gamma=0.0, batch_size=2)
-    set_constant_net(agent.critic1, 0.0)
-    set_constant_net(agent.critic2, 0.0)
-    batch = Batch(states=np.zeros((2, 4)), proposals=np.zeros((2, 3)),
-                  rewards=np.array([1.0, -1.0]), next_states=np.zeros((2, 4)))
+    set_constant_net(agent.critics, 0.0)
+    batch = Batch(states=np.zeros((1, 2, 4)), proposals=np.zeros((1, 2, 3)),
+                  rewards=np.array([[1.0, -1.0]]), next_states=np.zeros((1, 2, 4)))
     loss, mean_abs_td = agent.critic_update(batch)
     # before the update both critics output 0, so each MSE is 1
-    assert loss == pytest.approx(2.0)
-    assert mean_abs_td == pytest.approx(1.0)
+    assert loss[0] == pytest.approx(2.0)
+    assert mean_abs_td[0] == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +201,10 @@ def test_critic_update_returns_pre_update_loss():
 
 def test_zero_critic_freezes_actor():
     agent = make_agent()
-    set_constant_net(agent.critic1, 0.0)
+    set_constant_net(agent.critics.member(0), 0.0)
     keep = [p.copy() for p in agent.actor.parameters()]
     fill_buffer(agent, 40)
-    batch = agent.buffer.sample(np.random.default_rng(1), 8)
+    batch = agent.buffer.sample([np.random.default_rng(1)], 8)
     agent.actor_update(batch)
     for a, b in zip(agent.actor.parameters(), keep):
         assert np.array_equal(a, b)
@@ -212,13 +213,13 @@ def test_zero_critic_freezes_actor():
 def test_actor_update_leaves_critics_untouched():
     agent = make_agent(seed=5)
     fill_buffer(agent, 64)
-    keep1 = [p.copy() for p in agent.critic1.parameters()]
-    keep2 = [p.copy() for p in agent.critic2.parameters()]
-    batch = agent.buffer.sample(np.random.default_rng(2), 16)
+    keep1 = [p.copy() for p in agent.critics.member(0).parameters()]
+    keep2 = [p.copy() for p in agent.critics.member(1).parameters()]
+    batch = agent.buffer.sample([np.random.default_rng(2)], 16)
     agent.actor_update(batch)
-    for a, b in zip(agent.critic1.parameters(), keep1):
+    for a, b in zip(agent.critics.member(0).parameters(), keep1):
         assert np.array_equal(a, b)
-    for a, b in zip(agent.critic2.parameters(), keep2):
+    for a, b in zip(agent.critics.member(1).parameters(), keep2):
         assert np.array_equal(a, b)
 
 
@@ -229,32 +230,32 @@ def test_actor_converges_to_critic_optimum():
                        constraint_mode="penalty", gamma=0.0,
                        actor_hidden=(16,), critic_hidden=(24, 16))
     rng = np.random.default_rng(3)
-    s = np.array([0.5])
+    s = np.array([[0.5]])
     for _ in range(400):
-        a = rng.random(1)
-        agent.buffer.add(Experience(s, a, a, -float((a[0] - 0.7) ** 2), s))
+        a = rng.random((1, 1))
+        agent.buffer.add(Experience(s, a, -(a[0] - 0.7) ** 2, s))
     for step in range(1500):
-        agent.critic_update(agent.buffer.sample(agent._rng, 32))
+        agent.critic_update(agent.buffer.sample(agent.rngs, 32))
     for step in range(800):
-        agent.actor_update(agent.buffer.sample(agent._rng, 32))
+        agent.actor_update(agent.buffer.sample(agent.rngs, 32))
     out = agent.actor.forward(s)
-    assert out[0] == pytest.approx(0.7, abs=0.05)
+    assert out[0, 0] == pytest.approx(0.7, abs=0.05)
 
 
 def test_actor_gradients_match_finite_differences_through_softmax():
     agent = make_agent(seed=13, state_dim=2, action_dim=3, block_size=3,
                        actor_hidden=(6,), critic_hidden=(8,))
     states = np.random.default_rng(4).random((3, 2))
-    batch = Batch(states=states, proposals=np.zeros((3, 3)),
-                  rewards=np.zeros(3), next_states=states)
+    batch = Batch(states=states[None], proposals=np.zeros((1, 3, 3)),
+                  rewards=np.zeros((1, 3)), next_states=states[None])
 
     def objective():
-        a = agent.actor.forward(states)
+        a = agent.actor.member(0).forward(states)
         x = np.concatenate([states, a], axis=1)
-        return float(np.mean(agent.critic1.forward(x)))
+        return float(np.mean(agent.critics.member(0).forward(x)))
 
     obj, grads = agent.actor_gradients(batch)
-    assert obj == pytest.approx(objective())
+    assert obj[0] == pytest.approx(objective())
     params = agent.actor.parameters()
     h = 1e-6
     rng = np.random.default_rng(8)
@@ -289,10 +290,10 @@ def test_policy_delay_schedule():
 def test_train_step_noop_below_batch_size():
     agent = make_agent(seed=19)
     fill_buffer(agent, agent.config.batch_size - 1)
-    keep = [p.copy() for p in agent.actor.parameters() + agent.critic1.parameters()]
+    keep = [p.copy() for p in agent.actor.parameters() + agent.critics.parameters()]
     diag = agent.train_step(0)
     assert not diag.updated
-    for a, b in zip(agent.actor.parameters() + agent.critic1.parameters(), keep):
+    for a, b in zip(agent.actor.parameters() + agent.critics.parameters(), keep):
         assert np.array_equal(a, b)
 
 
@@ -300,11 +301,10 @@ def test_targets_frozen_when_tau_zero():
     agent = make_agent(seed=23, tau=0.0)
     fill_buffer(agent, 64)
     keep = [p.copy() for p in agent.actor_target.parameters()
-            + agent.critic1_target.parameters() + agent.critic2_target.parameters()]
+            + agent.critics_target.parameters()]
     for step in range(6):
         agent.train_step(step)
-    now = agent.actor_target.parameters() + agent.critic1_target.parameters() \
-        + agent.critic2_target.parameters()
+    now = agent.actor_target.parameters() + agent.critics_target.parameters()
     for a, b in zip(now, keep):
         assert np.array_equal(a, b)
 
@@ -316,7 +316,7 @@ def test_training_deterministic_under_seed():
         trace = []
         for step in range(20):
             d = agent.train_step(step)
-            trace.append((d.critic_loss, d.actor_objective, d.mean_abs_td))
+            trace.append((d.critic_loss[0], d.actor_objective[0], d.mean_abs_td[0]))
         return trace, [p.copy() for p in agent.actor.parameters()]
 
     t1, p1 = run()
@@ -343,6 +343,68 @@ def test_agent_checkpoint_roundtrip():
     other.load_dict(json.loads(blob))
     for a, b in zip(agent.actor.parameters(), other.actor.parameters()):
         assert np.array_equal(a, b)
-    for a, b in zip(agent.critic2_target.parameters(), other.critic2_target.parameters()):
+    for a, b in zip(agent.critics_target.parameters(), other.critics_target.parameters()):
         assert np.array_equal(a, b)
-    assert other.critic1_opt.t == agent.critic1_opt.t
+    assert other.critic_opt.t == agent.critic_opt.t
+
+
+def test_checkpoint_of_another_shape_rejected():
+    blob = make_agent(seed=1, actor_hidden=(8,)).to_dict()
+    with pytest.raises(ValueError):
+        make_agent(seed=2).load_dict(blob)
+
+
+# ---------------------------------------------------------------------------
+# stacked agents
+# ---------------------------------------------------------------------------
+
+
+def stacked_and_serial(count=3, seed=41, **kw):
+    cfg = Td3Config(**dict(dict(state_dim=4, action_dim=3, block_size=3, batch_size=8,
+                                actor_hidden=(16, 12), critic_hidden=(16, 12),
+                                buffer_capacity=64), **kw))
+    stacked = Td3Agent(cfg, np.random.default_rng(seed).spawn(count))
+    serial = [Td3Agent(cfg, [rng]) for rng in np.random.default_rng(seed).spawn(count)]
+    return stacked, serial
+
+
+@pytest.mark.parametrize("mode", ["softmax_embedded", "penalty"])
+def test_stacked_agents_match_serial_agents_bit_for_bit(mode):
+    stacked, serial = stacked_and_serial(constraint_mode=mode)
+    data = np.random.default_rng(43)
+    for step in range(40):
+        states = data.random((3, 4))
+        phase = ("explore_random", "train_noisy", "eval")[min(step // 12, 2)]
+        props, acts = stacked.select_action(states, phase, epsilon=0.5)
+        for i, agent in enumerate(serial):
+            p, a = agent.select_action(states[i:i + 1], phase, epsilon=0.5)
+            assert np.array_equal(p[0], props[i]) and np.array_equal(a[0], acts[i])
+        rewards, nxt = data.random(3), data.random((3, 4))
+        stacked.buffer.add(Experience(states, props, rewards, nxt))
+        for i, agent in enumerate(serial):
+            agent.buffer.add(Experience(states[i:i + 1], props[i:i + 1], rewards[i:i + 1],
+                                        nxt[i:i + 1]))
+        d = stacked.train_step(step)
+        for i, agent in enumerate(serial):
+            di = agent.train_step(step)
+            for field in ("critic_loss", "actor_objective", "mean_abs_td"):
+                assert np.array_equal(getattr(d, field)[i], getattr(di, field)[0],
+                                      equal_nan=True)
+    for i, agent in enumerate(serial):
+        assert np.array_equal(stacked.actor.flat[i], agent.actor.flat[0])
+        assert np.array_equal(stacked.actor_target.flat[i], agent.actor_target.flat[0])
+        for twin in (0, 1):
+            assert np.array_equal(stacked.critics.flat[twin * 3 + i],
+                                  agent.critics.flat[twin])
+            assert np.array_equal(stacked.critics_target.flat[twin * 3 + i],
+                                  agent.critics_target.flat[twin])
+
+
+def test_non_finite_check_skips_agents_that_drew_a_random_action():
+    stacked, _ = stacked_and_serial()
+    stacked.actor.flat[1] = np.nan
+    # epsilon 1: every agent takes a simplex draw, so agent 1's actor is unused
+    _, acts = stacked.select_action(np.zeros((3, 4)), "train_noisy", epsilon=1.0)
+    assert np.isfinite(acts).all()
+    with pytest.raises(FloatingPointError):
+        stacked.select_action(np.zeros((3, 4)), "train_noisy", epsilon=0.0)
