@@ -2,7 +2,9 @@
 
 Top-level sections: ``scenario``, ``scheme``, ``agent``, ``phases``,
 ``output``, plus a ``seeds`` list. Validation errors carry the dotted path
-of the offending field so a bad config is quick to fix.
+of the offending field so a bad config is quick to fix; a key no parser
+reads is an error too, so a misspelt field cannot silently fall back to its
+default.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field, fields as dc_fields
 
 import numpy as np
 
-from ..mdp import PENALTY_AGGREGATES, REWARD_VARIANTS, RewardSpec, StateScaling
+from ..mdp import REWARD_VARIANTS, RewardSpec, StateScaling
 from ..netsim import (
     TOPOLOGY_BUILDERS,
     ConfigError,
@@ -22,7 +24,8 @@ from ..netsim import (
     Topology,
     TrafficMask,
 )
-from ..schemes import SCHEME_KINDS, AgentHyperParams
+from ..schemes import SCHEME_KINDS
+from ..td3 import AgentHyperParams
 
 
 @dataclass(frozen=True)
@@ -95,14 +98,18 @@ def _integer(section: dict, key: str, path: str, default=None, minimum=None):
     return int(v)
 
 
-def _check_section(obj, path: str) -> dict:
+def _check_section(obj, path: str, keys) -> dict:
+    """``obj`` as a config object, every key of which is one of ``keys``."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object")
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}: unknown field")
     return obj
 
 
 def parse_mask(obj, path: str) -> TrafficMask:
-    section = _check_section(obj, path)
+    section = _check_section(obj, path, ("period", "breakpoints"))
     period = _number(section, "period", path, minimum=1e-12)
     pts = _require(section, "breakpoints", path)
     if not isinstance(pts, list) or not pts:
@@ -119,7 +126,9 @@ def parse_mask(obj, path: str) -> TrafficMask:
 
 
 def parse_scenario(obj, path: str = "scenario") -> Scenario:
-    section = _check_section(obj, path)
+    section = _check_section(obj, path, (
+        "topology", "cells", "bandwidth_hz", "coupling", "se_max", "slices", "p_stay",
+        "delay_base_s", "load_cap", "fp_tol", "fp_max_iter"))
     kind = str(section.get("topology", "ring"))
     if kind not in TOPOLOGY_BUILDERS:
         raise ConfigError(f"{path}.topology: unknown kind {kind!r} "
@@ -136,7 +145,8 @@ def parse_scenario(obj, path: str = "scenario") -> Scenario:
     thr, dly, dem, groups, masks = [], [], [], [], []
     for i, s in enumerate(slices_obj):
         sp = f"{path}.slices[{i}]"
-        s = _check_section(s, sp)
+        s = _check_section(s, sp, ("throughput_req", "delay_req", "demand_per_user",
+                                   "group_size_max", "mask"))
         thr.append(float(_number(s, "throughput_req", sp, minimum=1e-9)))
         dly.append(float(_number(s, "delay_req", sp, minimum=1e-12)))
         dem.append(float(_number(s, "demand_per_user", sp, minimum=1e-9)))
@@ -151,7 +161,7 @@ def parse_scenario(obj, path: str = "scenario") -> Scenario:
             p_stay=float(_number(section, "p_stay", path, default=0.8, minimum=0.0)),
             delay_base_s=float(_number(section, "delay_base_s", path, default=5e-4, minimum=1e-12)),
             load_cap=float(_number(section, "load_cap", path, default=0.99, minimum=1e-6)),
-            fp_tol=float(_number(section, "fp_tol", path, default=1e-6, minimum=0.0)),
+            fp_tol=float(_number(section, "fp_tol", path, default=1e-6, minimum=1e-12)),
             fp_max_iter=_integer(section, "fp_max_iter", path, default=1000, minimum=1),
         )
     except ConfigError as e:
@@ -163,19 +173,11 @@ def parse_rewards(scheme_section: dict, scenario: Scenario, path: str = "scheme"
     if variant not in REWARD_VARIANTS:
         raise ConfigError(f"{path}.reward_variant: unknown variant {variant!r} "
                           f"(expected one of {REWARD_VARIANTS})")
-    aggregate = str(scheme_section.get("penalty_aggregate", "mean"))
-    if aggregate not in PENALTY_AGGREGATES:
-        raise ConfigError(f"{path}.penalty_aggregate: expected one of {PENALTY_AGGREGATES}")
-    signed = scheme_section.get("signed_penalty", False)
-    if not isinstance(signed, bool):
-        raise ConfigError(f"{path}.signed_penalty: expected true or false")
     return RewardSpec(
         variant=variant,
         throughput_req=scenario.slices.throughput_req,
         delay_req=scenario.slices.delay_req,
         beta=float(_number(scheme_section, "beta", path, default=1.2, minimum=0.0)),
-        signed_penalty=signed,
-        penalty_aggregate=aggregate,
     )
 
 
@@ -184,11 +186,8 @@ UNIT_INTERVAL = ("gamma", "tau", "epsilon_start", "epsilon_end")
 
 
 def parse_hyper(obj, path: str = "agent") -> AgentHyperParams:
-    section = _check_section(obj, path) if obj is not None else {}
-    known = {f.name for f in dc_fields(AgentHyperParams)}
-    for key in section:
-        if key not in known:
-            raise ConfigError(f"{path}.{key}: unknown agent parameter")
+    known = [f.name for f in dc_fields(AgentHyperParams)]
+    section = _check_section(obj, path, known) if obj is not None else {}
     kwargs = {}
     for f in dc_fields(AgentHyperParams):
         if f.name not in section:
@@ -229,11 +228,11 @@ def scenario_hash(scenario_section: dict) -> str:
 
 
 def parse_config(data: dict) -> ExperimentConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config root: expected an object")
-    scenario_section = _check_section(_require(data, "scenario", "config"), "scenario")
+    _check_section(data, "config", ("scenario", "scheme", "agent", "phases", "seeds", "output"))
+    scenario_section = _require(data, "scenario", "config")
     scenario = parse_scenario(scenario_section)
-    scheme_section = _check_section(_require(data, "scheme", "config"), "scheme")
+    scheme_section = _check_section(_require(data, "scheme", "config"), "scheme",
+                                    ("kind", "reward_variant", "beta", "static_allocation"))
     kinds = parse_scheme_kinds(scheme_section)
     rewards = parse_rewards(scheme_section, scenario)
 
@@ -246,7 +245,8 @@ def parse_config(data: dict) -> ExperimentConfig:
 
     hyper = parse_hyper(data.get("agent"))
 
-    phases_section = _check_section(data.get("phases", {}), "phases")
+    phases_section = _check_section(data.get("phases", {}), "phases",
+                                    ("explore", "train", "eval"))
     phases = PhasePlan(
         explore=_integer(phases_section, "explore", "phases", default=2500, minimum=0),
         train=_integer(phases_section, "train", "phases", default=10000, minimum=0),
@@ -260,7 +260,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         if isinstance(s, bool) or not isinstance(s, int):
             raise ConfigError("seeds: expected a non-empty list of integers")
 
-    output_section = _check_section(data.get("output", {}), "output")
+    output_section = _check_section(data.get("output", {}), "output", ("dir",))
     out_dir = str(output_section.get("dir", "runs"))
 
     return ExperimentConfig(

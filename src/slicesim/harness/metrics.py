@@ -1,4 +1,4 @@
-"""Run metrics: resource efficiency, survival functions, mask correlation."""
+"""Run metrics: resource efficiency, mask correlation, learning-curve smoothing."""
 
 from __future__ import annotations
 
@@ -20,14 +20,6 @@ def resource_efficiency(net: NetState, allocation: np.ndarray, topology: Topolog
     terms = np.zeros_like(served, dtype=float)
     np.divide(served, share * topology.bandwidth_hz, out=terms, where=share > 0)
     return float(terms.mean())
-
-
-def survival_function(samples, grid) -> list[tuple[float, float]]:
-    """Empirical complementary CDF: fraction of samples strictly above x."""
-    s = np.asarray(samples, dtype=float)
-    if s.size == 0:
-        raise ValueError("survival_function needs at least one sample")
-    return [(float(x), float(np.mean(s > x))) for x in np.asarray(grid, dtype=float)]
 
 
 def mask_correlation(actions, mask_values) -> float:

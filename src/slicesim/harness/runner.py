@@ -87,18 +87,17 @@ def run_single(cfg: ExperimentConfig, kind: str, seed: int, out_dir) -> dict:
 
             raw = reward_global(nxt, cfg.rewards)
             pen_term = float(np.mean(penalty_gaps(proposals)))
-            pen_reward = reward_penalized(raw, proposals, cfg.rewards.beta,
-                                          aggregate=cfg.rewards.penalty_aggregate,
-                                          signed=cfg.rewards.signed_penalty)
+            pen_reward = reward_penalized(raw, proposals, cfg.rewards.beta)
             if phase != "eval":
                 controller.record(state, proposals, alloc, nxt)
             diag = controller.train(step) if phase == "train" and controller.trains else None
 
             masks = [sc.masks[j].value(nxt.t) for j in range(n)]
             eta = [resource_efficiency(nxt, alloc, sc.topology, i) for i in range(k)]
+            # mean over agents; with one agent this is its own value, exactly
             row = [step, phase, raw, pen_reward, pen_term,
-                   diag.critic_loss if diag else float("nan"),
-                   diag.actor_objective if diag else float("nan"),
+                   np.mean(diag.critic_loss) if diag else float("nan"),
+                   np.mean(diag.actor_objective) if diag else float("nan"),
                    nxt.fp_converged]
             row += masks
             row += eta

@@ -12,8 +12,7 @@ import numpy as np
 
 from .netsim import SIMPLEX_ATOL, ConstraintViolationError, NetState, Topology
 
-REWARD_VARIANTS = ("plain", "delay_aware", "penalized")
-PENALTY_AGGREGATES = ("mean", "max")
+REWARD_VARIANTS = ("plain", "delay_aware")
 
 
 @dataclass(frozen=True)
@@ -34,23 +33,18 @@ class RewardSpec:
     """Reward variant and constants.
 
     ``plain`` scores throughput ratios only; ``delay_aware`` adds the
-    delay-requirement ratio; ``penalized`` uses the delay-aware base and
-    marks that the scheme subtracts a budget penalty from it. The penalty
-    itself is computed by :func:`reward_penalized`.
+    delay-requirement ratio. ``beta`` weighs the budget penalty that
+    :func:`reward_penalized` subtracts for the penalty scheme.
     """
 
     variant: str
     throughput_req: tuple[float, ...]
     delay_req: tuple[float, ...]
     beta: float = 1.2
-    signed_penalty: bool = False
-    penalty_aggregate: str = "mean"
 
     def __post_init__(self):
         if self.variant not in REWARD_VARIANTS:
             raise ValueError(f"unknown reward variant {self.variant!r}")
-        if self.penalty_aggregate not in PENALTY_AGGREGATES:
-            raise ValueError(f"unknown penalty aggregate {self.penalty_aggregate!r}")
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
         if min(self.throughput_req) <= 0 or min(self.delay_req) <= 0:
@@ -121,23 +115,17 @@ def reward_global(net: NetState, spec: RewardSpec) -> float:
     return min(reward_local(net, spec, k) for k in range(net.cell_count))
 
 
-def penalty_gaps(proposal: np.ndarray, signed: bool = False) -> np.ndarray:
-    """Per-cell budget gap of a raw action proposal.
-
-    Unsigned form |1 - sum| punishes over- and under-spending alike; the
-    signed form (sum - 1) is kept for comparison but rewards under-spending.
-    """
+def penalty_gaps(proposal: np.ndarray) -> np.ndarray:
+    """Per-cell budget gap |1 - sum| of a raw action proposal, which
+    punishes over- and under-spending alike."""
     a = np.asarray(proposal, dtype=float)
-    gaps = a.sum(axis=-1) - 1.0
-    return gaps if signed else np.abs(gaps)
+    return np.abs(a.sum(axis=-1) - 1.0)
 
 
-def reward_penalized(raw_reward: float, proposal: np.ndarray, beta: float,
-                     aggregate: str = "mean", signed: bool = False) -> float:
-    """Raw reward minus beta times the aggregated budget gap."""
-    gaps = np.atleast_1d(penalty_gaps(proposal, signed=signed))
-    agg = gaps.mean() if aggregate == "mean" else gaps.max()
-    return float(raw_reward - beta * agg)
+def reward_penalized(raw_reward: float, proposal: np.ndarray, beta: float) -> float:
+    """Raw reward minus beta times the mean budget gap over cells."""
+    gaps = np.atleast_1d(penalty_gaps(proposal))
+    return float(raw_reward - beta * gaps.mean())
 
 
 # ---------------------------------------------------------------------------

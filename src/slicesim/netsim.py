@@ -174,10 +174,6 @@ class TrafficMask:
         return v0 + w * (v1 - v0)
 
 
-def eval_mask(mask: TrafficMask, t: float) -> float:
-    return mask.value(t)
-
-
 @dataclass
 class UserDistribution:
     """Active-user counts per (cell, slice) plus per-slice population caps."""
@@ -452,7 +448,3 @@ class SliceEnv:
             sc.topology, alloc, offered, tol=sc.fp_tol, max_iter=sc.fp_max_iter)
         return compute_kpis(sc.topology, alloc, offered, loads, dist, self.t,
                             sc.delay_base_s, sc.load_cap, fp_converged=converged)
-
-    def mask_values(self, t: int | None = None) -> list[float]:
-        """Per-slice mask values at time t (defaults to the current time)."""
-        return self._mask_values(self.t if t is None else t)

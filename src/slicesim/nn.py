@@ -15,8 +15,9 @@ layer's weights are ``(E, fan_in, fan_out)`` views into it. Inputs are then
 ``(E, batch, d_in)``; every member sees only its own slice, so one batched
 matmul per layer replaces E separate passes with the same per-member
 arithmetic. A plain net is the case without the leading axis, with a flat
-``(P,)`` array. ``Adam`` and callers that update parameters in place work on
-the flat array, so one call covers every layer of every member.
+``(P,)`` array. ``Adam`` takes that flat array as its one parameter, and
+callers that update parameters in place work on it too, so one call covers
+every layer of every member.
 """
 
 from __future__ import annotations
@@ -266,62 +267,64 @@ class Mlp:
 
 
 class Adam:
-    """Standard Adam with bias correction; updates parameters in place.
+    """Standard Adam with bias correction over one parameter array, updated
+    in place (an Mlp's ``flat``, so one step covers every layer and member).
 
-    The update runs through two preallocated work arrays per parameter, so a
-    step allocates no temporaries the size of the parameters.
+    The update runs through two preallocated work arrays, so a step
+    allocates no temporaries the size of the parameters.
     """
 
-    def __init__(self, params: list[np.ndarray], lr: float,
+    def __init__(self, param: np.ndarray, lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
-        self._work = [np.empty((2,) + np.shape(p)) for p in params]
+        self.m = np.zeros_like(param)
+        self.v = np.zeros_like(param)
+        self._work = np.empty((2,) + np.shape(param))
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        if len(params) != len(self.m) or len(grads) != len(self.m):
-            raise ValueError("parameter/gradient count mismatch")
-        for g in grads:
-            if not np.isfinite(g).all():
-                raise FloatingPointError("non-finite gradient passed to Adam")
+    def step(self, param: np.ndarray, grad: np.ndarray) -> None:
+        # a (P,) gradient would otherwise broadcast silently into an (E, P) stack
+        if not param.shape == grad.shape == self.m.shape:
+            raise ValueError(f"gradient shape {grad.shape} does not match parameter shape "
+                             f"{param.shape} (optimizer state {self.m.shape})")
+        if not np.isfinite(grad).all():
+            raise FloatingPointError("non-finite gradient passed to Adam")
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for p, g, m, v, (a, b) in zip(params, grads, self.m, self.v, self._work):
-            # p -= lr * (m / c1) / (sqrt(v / c2) + eps), one operation at a time
-            m *= self.beta1
-            np.multiply(g, 1.0 - self.beta1, out=a)
-            m += a
-            v *= self.beta2
-            np.square(g, out=a)
-            a *= 1.0 - self.beta2
-            v += a
-            np.divide(v, c2, out=a)
-            np.sqrt(a, out=a)
-            a += self.eps
-            np.divide(m, c1, out=b)
-            b *= self.lr
-            b /= a
-            p -= b
+        m, v, (a, b) = self.m, self.v, self._work
+        # param -= lr * (m / c1) / (sqrt(v / c2) + eps), one operation at a time
+        m *= self.beta1
+        np.multiply(grad, 1.0 - self.beta1, out=a)
+        m += a
+        v *= self.beta2
+        np.square(grad, out=a)
+        a *= 1.0 - self.beta2
+        v += a
+        np.divide(v, c2, out=a)
+        np.sqrt(a, out=a)
+        a += self.eps
+        np.divide(m, c1, out=b)
+        b *= self.lr
+        b /= a
+        param -= b
 
     def to_dict(self) -> dict:
         return {
             "lr": self.lr, "beta1": self.beta1, "beta2": self.beta2,
             "eps": self.eps, "t": self.t,
-            "m": [a.tolist() for a in self.m],
-            "v": [a.tolist() for a in self.v],
+            "m": self.m.tolist(),
+            "v": self.v.tolist(),
         }
 
     @staticmethod
     def from_dict(data: dict) -> "Adam":
-        m = [np.asarray(a, dtype=float) for a in data["m"]]
+        m = np.asarray(data["m"], dtype=float)
         opt = Adam(m, lr=data["lr"], beta1=data["beta1"], beta2=data["beta2"], eps=data["eps"])
         opt.m = m
-        opt.v = [np.asarray(a, dtype=float) for a in data["v"]]
+        opt.v = np.asarray(data["v"], dtype=float)
         opt.t = data["t"]
         return opt

@@ -13,12 +13,12 @@ Six kinds:
 
 A controller's step contract: ``act`` maps the current network state to
 (raw proposals, executable allocation); ``record`` stores the transition with
-scheme-appropriate rewards; ``train`` advances the learners.
+scheme-appropriate rewards; ``train``, which only the learning controllers
+(``trains``) have, advances the learners and returns the agent's
+``TrainDiagnostics``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,40 +33,10 @@ from .mdp import (
     reward_penalized,
 )
 from .netsim import ConfigError, NetState, Scenario
-from .td3 import Experience, Td3Agent, Td3Config
+from .td3 import AgentHyperParams, Experience, Td3Agent, Td3Config
 
 SCHEME_KINDS = ("cen_pen", "cen_soft", "dist", "dist_comm", "baseline", "static_default")
 PHASES = ("explore", "train", "eval")
-
-
-@dataclass(frozen=True)
-class AgentHyperParams:
-    """TD3 and exploration knobs shared by every learning scheme."""
-
-    gamma: float = 0.1
-    batch_size: int = 32
-    tau: float = 0.005
-    policy_delay: int = 2
-    target_noise: float = 0.2
-    noise_clip: float = 0.5
-    explore_noise: float = 0.1
-    actor_lr: float = 5e-4
-    critic_lr: float = 1e-3
-    buffer_capacity: int = 100_000
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.05
-    central_actor_hidden: tuple[int, ...] = (96, 64, 48)
-    central_critic_hidden: tuple[int, ...] = (120, 64, 32)
-    dist_actor_hidden: tuple[int, ...] = (48, 24)
-    dist_critic_hidden: tuple[int, ...] = (64, 24)
-
-
-@dataclass
-class SchemeDiagnostics:
-    critic_loss: float = float("nan")
-    actor_objective: float = float("nan")
-    mean_abs_td: float = float("nan")
-    updated: bool = False
 
 
 class Controller:
@@ -86,9 +56,6 @@ class Controller:
     def record(self, prev: NetState, proposals: np.ndarray, allocation: np.ndarray,
                net: NetState) -> None:
         pass
-
-    def train(self, step: int) -> SchemeDiagnostics:
-        return SchemeDiagnostics()
 
     def param_count(self) -> int:
         """Parameters of one deployed model (the per-site footprint)."""
@@ -159,18 +126,6 @@ class _EpsilonSchedule:
         return self.start + (self.end - self.start) * frac
 
 
-def _agent_config(hyper: AgentHyperParams, state_dim: int, action_dim: int, block_size: int,
-                  constraint_mode: str, actor_hidden, critic_hidden) -> Td3Config:
-    return Td3Config(
-        state_dim=state_dim, action_dim=action_dim, block_size=block_size,
-        constraint_mode=constraint_mode, actor_hidden=actor_hidden, critic_hidden=critic_hidden,
-        gamma=hyper.gamma, batch_size=hyper.batch_size, tau=hyper.tau,
-        policy_delay=hyper.policy_delay, target_noise=hyper.target_noise,
-        noise_clip=hyper.noise_clip, explore_noise=hyper.explore_noise,
-        actor_lr=hyper.actor_lr, critic_lr=hyper.critic_lr,
-        buffer_capacity=hyper.buffer_capacity)
-
-
 class _LearningController(Controller):
     """Shared plumbing of the TD3 schemes: one (possibly stacked) agent, the
     epsilon schedule, and a one-entry memo of the last observed state matrix,
@@ -183,11 +138,11 @@ class _LearningController(Controller):
 
     trains = True
 
-    def __init__(self, scenario, rewards, scaling, agent: Td3Agent, hyper: AgentHyperParams,
-                 anneal_steps: int):
+    def __init__(self, scenario, rewards, scaling, agent: Td3Agent, anneal_steps: int):
         super().__init__(scenario, rewards, scaling)
         self.agent = agent
-        self._eps = _EpsilonSchedule(hyper.epsilon_start, hyper.epsilon_end, anneal_steps)
+        self._eps = _EpsilonSchedule(agent.hyper.epsilon_start, agent.hyper.epsilon_end,
+                                     anneal_steps)
         self._memo: tuple[NetState, np.ndarray] | None = None
 
     def _observe(self, net: NetState) -> np.ndarray:
@@ -207,15 +162,6 @@ class _LearningController(Controller):
             return self.agent.select_action(states, "eval")
         return self.agent.select_action(states, "train_noisy", self._eps.value(step))
 
-    def _train(self, step: int) -> SchemeDiagnostics:
-        # mean over agents; with A = 1 this is the agent's own value, exactly
-        d = self.agent.train_step(step)
-        return SchemeDiagnostics(
-            critic_loss=float(np.mean(d.critic_loss)),
-            actor_objective=float(np.mean(d.actor_objective)),
-            mean_abs_td=float(np.mean(d.mean_abs_td)),
-            updated=d.updated)
-
     def param_count(self):
         return self.agent.param_count()
 
@@ -233,9 +179,10 @@ class CentralController(_LearningController):
                  rng: np.random.Generator, kind: str, anneal_steps: int):
         k, n = scenario.cell_count, scenario.slice_count
         mode = "penalty" if kind == "cen_pen" else "softmax_embedded"
-        cfg = _agent_config(hyper, 3 * n * k, k * (n + 1), n + 1, mode,
-                            hyper.central_actor_hidden, hyper.central_critic_hidden)
-        super().__init__(scenario, rewards, scaling, Td3Agent(cfg, [rng]), hyper, anneal_steps)
+        cfg = Td3Config(state_dim=3 * n * k, action_dim=k * (n + 1), block_size=n + 1,
+                        actor_hidden=hyper.central_actor_hidden,
+                        critic_hidden=hyper.central_critic_hidden, constraint_mode=mode)
+        super().__init__(scenario, rewards, scaling, Td3Agent(cfg, hyper, [rng]), anneal_steps)
         self.kind = kind
 
     def _states(self, net):
@@ -249,9 +196,7 @@ class CentralController(_LearningController):
     def record(self, prev, proposals, allocation, net):
         raw = reward_global(net, self.rewards)
         if self.kind == "cen_pen":
-            stored = reward_penalized(raw, proposals, self.rewards.beta,
-                                      aggregate=self.rewards.penalty_aggregate,
-                                      signed=self.rewards.signed_penalty)
+            stored = reward_penalized(raw, proposals, self.rewards.beta)
         else:
             stored = raw
         self.agent.buffer.add(Experience(
@@ -259,7 +204,7 @@ class CentralController(_LearningController):
             reward=np.array([stored]), next_state=self._observe(net)))
 
     def train(self, step):
-        return self._train(step)
+        return self.agent.train_step(step)
 
 
 class DistributedController(_LearningController):
@@ -274,9 +219,10 @@ class DistributedController(_LearningController):
                  rng: np.random.Generator, use_messages: bool, anneal_steps: int):
         k, n = scenario.cell_count, scenario.slice_count
         state_dim = 3 * n + (n if use_messages else 0)
-        cfg = _agent_config(hyper, state_dim, n + 1, n + 1, "softmax_embedded",
-                            hyper.dist_actor_hidden, hyper.dist_critic_hidden)
-        super().__init__(scenario, rewards, scaling, Td3Agent(cfg, rng.spawn(k)), hyper,
+        cfg = Td3Config(state_dim=state_dim, action_dim=n + 1, block_size=n + 1,
+                        actor_hidden=hyper.dist_actor_hidden,
+                        critic_hidden=hyper.dist_critic_hidden)
+        super().__init__(scenario, rewards, scaling, Td3Agent(cfg, hyper, rng.spawn(k)),
                          anneal_steps)
         self.kind = "dist_comm" if use_messages else "dist"
         self.use_messages = use_messages
@@ -298,7 +244,7 @@ class DistributedController(_LearningController):
             next_state=self._observe(net)))
 
     def train(self, step):
-        return self._train(step)
+        return self.agent.train_step(step)
 
 
 def build_scheme(kind: str, scenario: Scenario, rewards: RewardSpec,

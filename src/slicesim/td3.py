@@ -11,6 +11,12 @@ Two constraint modes for the actor:
 Critics always score the raw proposal, which in softmax mode equals the
 executed action.
 
+``Td3Agent(config, hyper, rngs)`` takes two records: ``Td3Config`` holds
+what a scheme derives from the scenario (state and action sizes, block
+size, constraint mode, hidden layers), and ``AgentHyperParams`` holds the
+learning settings, declared once here with their defaults and shared by
+every learning scheme and the config parser.
+
 One ``Td3Agent`` trains A independent, same-shaped agents at once (one per
 cell for the distributed schemes, A = 1 for a central agent). Every array
 carries the agents on a leading member axis:
@@ -127,13 +133,10 @@ def uniform_simplex(rng: np.random.Generator, blocks: int, block_size: int) -> n
 
 
 @dataclass(frozen=True)
-class Td3Config:
-    state_dim: int
-    action_dim: int
-    block_size: int  # slices + headroom; actions are per-cell blocks of this size
-    constraint_mode: str = "softmax_embedded"
-    actor_hidden: tuple[int, ...] = (48, 24)
-    critic_hidden: tuple[int, ...] = (64, 24)
+class AgentHyperParams:
+    """TD3 and exploration knobs shared by every learning scheme, each
+    declared here only, with its default."""
+
     gamma: float = 0.1
     batch_size: int = 32
     tau: float = 0.005
@@ -144,14 +147,34 @@ class Td3Config:
     actor_lr: float = 5e-4
     critic_lr: float = 1e-3
     buffer_capacity: int = 100_000
+    epsilon_start: float = 1.0
+    epsilon_end: float = 0.05
+    central_actor_hidden: tuple[int, ...] = (96, 64, 48)
+    central_critic_hidden: tuple[int, ...] = (120, 64, 32)
+    dist_actor_hidden: tuple[int, ...] = (48, 24)
+    dist_critic_hidden: tuple[int, ...] = (64, 24)
+
+    def __post_init__(self):
+        if not 0.0 <= self.gamma <= 1.0:
+            raise ValueError("gamma must lie in [0, 1]")
+
+
+@dataclass(frozen=True)
+class Td3Config:
+    """The agent's shape, which a scheme derives from the scenario."""
+
+    state_dim: int
+    action_dim: int
+    block_size: int  # slices + headroom; actions are per-cell blocks of this size
+    actor_hidden: tuple[int, ...]
+    critic_hidden: tuple[int, ...]
+    constraint_mode: str = "softmax_embedded"
 
     def __post_init__(self):
         if self.constraint_mode not in CONSTRAINT_MODES:
             raise ValueError(f"unknown constraint mode {self.constraint_mode!r}")
         if self.action_dim % self.block_size:
             raise ValueError("action_dim must be a multiple of block_size")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
 
 
 @dataclass
@@ -167,10 +190,17 @@ class TrainDiagnostics:
 
 class Td3Agent:
     """TD3 learner for A same-shaped agents, one per ``Generator`` in ``rngs``:
-    a stacked actor, a stacked twin-critic pair, their targets, two Adams."""
+    a stacked actor, a stacked twin-critic pair, their targets, two Adams.
 
-    def __init__(self, config: Td3Config, rngs: list[np.random.Generator]):
+    ``config`` fixes the networks' shapes and the constraint mode; ``hyper``
+    holds the learning settings: discount, learning rates, noise, batch
+    size, Polyak rate, policy delay and replay capacity.
+    """
+
+    def __init__(self, config: Td3Config, hyper: AgentHyperParams,
+                 rngs: list[np.random.Generator]):
         self.config = config
+        self.hyper = hyper
         self.rngs = list(rngs)
         c = config
         head = "softmax_blocks" if c.constraint_mode == "softmax_embedded" else "sigmoid"
@@ -186,12 +216,12 @@ class Td3Agent:
         self.critics = Mlp.stack(twins1 + twins2)
         self.actor_target = self.actor.copy()
         self.critics_target = self.critics.copy()
-        self.actor_opt = Adam([self.actor.flat], lr=c.actor_lr)
-        self.critic_opt = Adam([self.critics.flat], lr=c.critic_lr)
+        self.actor_opt = Adam(self.actor.flat, lr=hyper.actor_lr)
+        self.critic_opt = Adam(self.critics.flat, lr=hyper.critic_lr)
         # gradient buffers, reused by every update
         self._actor_grad = np.empty_like(self.actor.flat)
         self._critic_grad = np.empty_like(self.critics.flat)
-        self.buffer = ReplayBuffer(c.buffer_capacity, c.state_dim, c.action_dim,
+        self.buffer = ReplayBuffer(hyper.buffer_capacity, c.state_dim, c.action_dim,
                                    members=self.members)
 
     @property
@@ -239,7 +269,7 @@ class Td3Agent:
                 else:
                     # exploration perturbs the raw pre-head outputs, so the head
                     # nonlinearity keeps noisy proposals in their natural range
-                    z[i] += rng.normal(0.0, c.explore_noise, size=c.action_dim)
+                    z[i] += rng.normal(0.0, self.hyper.explore_noise, size=c.action_dim)
         proposals = self.actor.apply_head(z)
         if not np.isfinite(proposals[~drawn]).all():
             raise FloatingPointError("actor produced a non-finite action")
@@ -251,10 +281,10 @@ class Td3Agent:
     # -- learning -------------------------------------------------------------
 
     def _smoothed_target_actions(self, next_states: np.ndarray) -> np.ndarray:
-        c = self.config
-        shape = (next_states.shape[-2], c.action_dim)
-        noise = np.stack([rng.normal(0.0, c.target_noise, size=shape) for rng in self.rngs])
-        noise = np.clip(noise, -c.noise_clip, c.noise_clip)
+        h = self.hyper
+        shape = (next_states.shape[-2], self.config.action_dim)
+        noise = np.stack([rng.normal(0.0, h.target_noise, size=shape) for rng in self.rngs])
+        noise = np.clip(noise, -h.noise_clip, h.noise_clip)
         z = self.actor_target.logits(next_states)
         return self.actor_target.apply_head(z + noise)
 
@@ -264,7 +294,7 @@ class Td3Agent:
         a2 = self._smoothed_target_actions(next_states)
         x2 = np.concatenate([next_states, a2], axis=-1)
         q = self.critics_target.forward(np.concatenate([x2, x2]))[..., 0]
-        return rewards + self.config.gamma * np.minimum(q[:self.members], q[self.members:])
+        return rewards + self.hyper.gamma * np.minimum(q[:self.members], q[self.members:])
 
     def critic_update(self, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
         """One TD regression step on every critic; returns per agent the
@@ -278,7 +308,7 @@ class Td3Agent:
         td = q[..., 0] - np.concatenate([g, g])
         mse = np.mean(td ** 2, axis=-1)
         self.critics.backward(cache, (2.0 * td / batch.size)[..., None], out=self._critic_grad)
-        self.critic_opt.step([self.critics.flat], [self._critic_grad])
+        self.critic_opt.step(self.critics.flat, self._critic_grad)
         return mse[:a] + mse[a:], np.mean(np.abs(td[:a]), axis=-1)
 
     def actor_gradients(self, batch: Batch) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -299,23 +329,23 @@ class Td3Agent:
     def actor_update(self, batch: Batch) -> np.ndarray:
         """Ascend mean Q1(s, pi(s)); critics are read, never written."""
         objective, _ = self.actor_gradients(batch)
-        self.actor_opt.step([self.actor.flat], [self._actor_grad])
+        self.actor_opt.step(self.actor.flat, self._actor_grad)
         return objective
 
     def sync_targets(self) -> None:
         soft_update([self.actor.flat, self.critics.flat],
-                    [self.actor_target.flat, self.critics_target.flat], self.config.tau)
+                    [self.actor_target.flat, self.critics_target.flat], self.hyper.tau)
 
     def train_step(self, step: int) -> TrainDiagnostics:
         """Critic update every call; actor and targets every policy_delay."""
-        c = self.config
+        h = self.hyper
         skipped = np.full(self.members, np.nan)
-        if self.buffer.size < c.batch_size:
+        if self.buffer.size < h.batch_size:
             return TrainDiagnostics(False, False, skipped, skipped, skipped)
-        batch = self.buffer.sample(self.rngs, c.batch_size)
+        batch = self.buffer.sample(self.rngs, h.batch_size)
         loss, mean_abs_td = self.critic_update(batch)
         actor_obj = skipped
-        actor_updated = step % c.policy_delay == 0
+        actor_updated = step % h.policy_delay == 0
         if actor_updated:
             actor_obj = self.actor_update(batch)
             self.sync_targets()

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from slicesim.harness.compare import (compare_runs, format_table, load_summary,
 from slicesim.harness.config import PhasePlan, load_config, parse_config, scenario_hash
 from slicesim.harness.gridsearch import evaluate_static, grid_search, simplex_grid
 from slicesim.harness.metrics import (mask_correlation, resource_efficiency, smooth,
-                                      steps_to_fraction_of_final, survival_function)
+                                      steps_to_fraction_of_final)
 from slicesim.harness.runner import csv_header, run_experiment, run_single
 from slicesim.mdp import RewardSpec
 from slicesim.netsim import ConfigError, NetState, Topology
@@ -113,6 +114,48 @@ def test_agent_fraction_out_of_range_rejected(agent, path):
         parse_config(data)
 
 
+def _set_path(data, path, value):
+    keys = [int(k) if k.isdigit() else k for k in re.split(r"[.\[\]]+", path) if k]
+    node = data
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+
+
+@pytest.mark.parametrize("path", [
+    "config.seed",
+    "scheme.bta",
+    "scheme.signed_penalty",
+    "scheme.penalty_aggregate",
+    "scenario.fp_tl",
+    "scenario.slices[0].delay_rq",
+    "scenario.slices[1].mask.perod",
+    "phases.evl",
+    "output.dri",
+])
+def test_unknown_config_key_rejected_with_dotted_path(path):
+    data = tiny_config_data()
+    data["output"] = {"dir": "runs"}
+    _set_path(data, path.removeprefix("config."), 3)
+    with pytest.raises(ConfigError, match=re.escape(path) + ": unknown field"):
+        parse_config(data)
+
+
+def test_removed_reward_variant_rejected():
+    data = tiny_config_data()
+    data["scheme"]["reward_variant"] = "penalized"
+    with pytest.raises(ConfigError, match=r"scheme\.reward_variant"):
+        parse_config(data)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-6])
+def test_non_positive_fp_tol_rejected(tol):
+    data = tiny_config_data()
+    data["scenario"]["fp_tol"] = tol
+    with pytest.raises(ConfigError, match=r"scenario\.fp_tol"):
+        parse_config(data)
+
+
 def test_agent_fractions_at_their_bounds_accepted():
     data = tiny_config_data()
     data["agent"] = {"tau": 1.0, "gamma": 1.0, "epsilon_start": 0.0, "epsilon_end": 0.0}
@@ -185,25 +228,6 @@ def test_resource_efficiency_zero_share_contributes_zero():
     net = _state([[2e6, 2e6]], [[2, 1]])
     v = resource_efficiency(net, np.array([[0.8, 0.0, 0.2]]), topo, 0)
     assert v == pytest.approx(0.25, abs=1e-12)  # only slice 2's 0.5, averaged
-
-
-def test_survival_function_counting():
-    out = survival_function([1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0, 4.0])
-    assert out == [(0.0, 1.0), (1.0, 2 / 3), (2.0, 1 / 3), (3.0, 0.0), (4.0, 0.0)]
-
-
-def test_survival_function_monotone_random():
-    for seed in range(20):
-        rng = np.random.default_rng(seed)
-        samples = rng.normal(size=50)
-        grid = np.sort(rng.uniform(-3, 3, size=17))
-        vals = [v for _, v in survival_function(samples, grid)]
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
-
-
-def test_survival_function_empty_rejected():
-    with pytest.raises(ValueError):
-        survival_function([], [0.0])
 
 
 def test_mask_correlation_exact():

@@ -215,13 +215,7 @@ def test_penalty_underspend_absolute_form():
 
 def test_penalty_aggregation_modes():
     prop = np.array([[0.25, 0.6, 0.4], [0.2, 0.5, 0.3]])  # gaps 0.25 and 0
-    assert reward_penalized(1.0, prop, beta=1.2, aggregate="mean") == pytest.approx(1.0 - 0.15)
-    assert reward_penalized(1.0, prop, beta=1.2, aggregate="max") == pytest.approx(1.0 - 0.3)
-
-
-def test_penalty_signed_form_rewards_underspend():
-    prop = np.array([0.1, 0.4, 0.3])
-    assert reward_penalized(0.5, prop, beta=1.2, signed=True) == pytest.approx(0.5 + 0.24)
+    assert reward_penalized(1.0, prop, beta=1.2) == pytest.approx(1.0 - 0.15)
 
 
 def test_penalized_never_exceeds_raw_unsigned():

@@ -234,66 +234,86 @@ def test_stack_rejects_inputs_without_the_member_axis():
 
 
 def test_adam_zero_gradient_is_identity():
-    p = [np.array([1.0, -2.0])]
+    p = np.array([1.0, -2.0])
     opt = Adam(p, lr=0.01)
-    opt.step(p, [np.zeros(2)])
-    assert np.array_equal(p[0], [1.0, -2.0])
+    opt.step(p, np.zeros(2))
+    assert np.array_equal(p, [1.0, -2.0])
 
 
 def test_adam_first_step_sign_scaled():
-    p = [np.array([1.0, 1.0])]
-    g = [np.array([0.5, -3.0])]
+    p = np.array([1.0, 1.0])
     opt = Adam(p, lr=0.01)
-    opt.step(p, g)
+    opt.step(p, np.array([0.5, -3.0]))
     # bias-corrected first step moves by ~lr in the gradient direction
-    assert p[0] == pytest.approx([1.0 - 0.01, 1.0 + 0.01], rel=1e-6)
+    assert p == pytest.approx([1.0 - 0.01, 1.0 + 0.01], rel=1e-6)
 
 
 def test_adam_deterministic():
     def run():
-        p = [np.full(3, 0.5)]
+        p = np.full(3, 0.5)
         opt = Adam(p, lr=0.003)
         for i in range(10):
-            opt.step(p, [np.array([0.1 * i, -0.2, 0.05])])
-        return p[0]
+            opt.step(p, np.array([0.1 * i, -0.2, 0.05]))
+        return p
 
     assert np.array_equal(run(), run())
 
 
 def test_adam_zero_lr_is_identity():
     rng = np.random.default_rng(6)
-    p = [rng.normal(size=(3, 2))]
-    keep = p[0].copy()
+    p = rng.normal(size=(3, 2))
+    keep = p.copy()
     opt = Adam(p, lr=0.0)
     for _ in range(5):
-        opt.step(p, [rng.normal(size=(3, 2))])
-    assert np.array_equal(p[0], keep)
+        opt.step(p, rng.normal(size=(3, 2)))
+    assert np.array_equal(p, keep)
 
 
 def test_adam_matches_textbook_update_bit_for_bit():
     rng = np.random.default_rng(8)
-    p = [rng.normal(size=(2, 5)), rng.normal(size=3)]
-    ref = [a.copy() for a in p]
-    m = [np.zeros_like(a) for a in p]
-    v = [np.zeros_like(a) for a in p]
+    p = rng.normal(size=(2, 5))
+    ref = p.copy()
+    m = np.zeros_like(p)
+    v = np.zeros_like(p)
     opt = Adam(p, lr=0.01)
     for t in range(1, 6):
-        grads = [rng.normal(size=a.shape) for a in p]
-        opt.step(p, grads)
+        g = rng.normal(size=p.shape)
+        opt.step(p, g)
         c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
-        for r, g, mi, vi in zip(ref, grads, m, v):
-            mi[:] = 0.9 * mi + (1.0 - 0.9) * g
-            vi[:] = 0.999 * vi + (1.0 - 0.999) * np.square(g)
-            r -= 0.01 * (mi / c1) / (np.sqrt(vi / c2) + 1e-8)
-        for a, r in zip(p, ref):
-            assert np.array_equal(a, r)
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * np.square(g)
+        ref -= 0.01 * (m / c1) / (np.sqrt(v / c2) + 1e-8)
+        assert np.array_equal(p, ref)
 
 
 def test_adam_rejects_non_finite_gradient():
-    p = [np.ones(2)]
+    p = np.ones(2)
     opt = Adam(p, lr=0.01)
     with pytest.raises(FloatingPointError):
-        opt.step(p, [np.array([np.nan, 0.0])])
+        opt.step(p, np.array([np.nan, 0.0]))
+
+
+def test_adam_rejects_gradient_of_another_shape():
+    # a per-member gradient must not broadcast over a stack of members
+    p = np.ones((3, 4))
+    opt = Adam(p, lr=0.01)
+    with pytest.raises(ValueError):
+        opt.step(p, np.ones(4))
+    assert np.array_equal(p, np.ones((3, 4))) and opt.t == 0
+
+
+def test_adam_checkpoint_roundtrip_continues_bit_for_bit():
+    rng = np.random.default_rng(10)
+    p = rng.normal(size=(2, 3))
+    opt = Adam(p, lr=0.01)
+    opt.step(p, rng.normal(size=p.shape))
+    data = json.loads(json.dumps(opt.to_dict()))
+    assert np.shape(data["m"]) == p.shape and np.shape(data["v"]) == p.shape
+    q, back = p.copy(), Adam.from_dict(data)
+    g = rng.normal(size=p.shape)
+    opt.step(p, g)
+    back.step(q, g)
+    assert np.array_equal(p, q)
 
 
 # ---------------------------------------------------------------------------

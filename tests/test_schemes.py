@@ -130,8 +130,7 @@ def test_static_and_baseline_do_not_learn():
         net = make_net(sc)
         _, alloc = ctl.act(net, "train", 5)
         ctl.record(net, alloc, alloc, net)  # accepted and ignored
-        diag = ctl.train(5)
-        assert not diag.updated
+        assert not ctl.trains and not hasattr(ctl, "train")
         assert ctl.param_count() == 0
 
 
@@ -197,12 +196,11 @@ def test_cen_soft_stores_global_reward():
 
 
 def test_cen_pen_stores_penalized_reward():
-    ctl, sc, rewards, _ = controller("cen_pen", variant="penalized")
+    ctl, sc, rewards, _ = controller("cen_pen", variant="delay_aware")
     net = make_net(sc)
     props, alloc = ctl.act(net, "explore", 0)
     ctl.record(net, props, alloc, net)
-    expect = reward_penalized(reward_global(net, rewards), props, rewards.beta,
-                              aggregate=rewards.penalty_aggregate)
+    expect = reward_penalized(reward_global(net, rewards), props, rewards.beta)
     assert ctl.agent.buffer.peek(0).reward[0] == pytest.approx(expect)
 
 

@@ -5,6 +5,7 @@ length one; the stacked-agent tests at the end compare A agents trained
 together with the same agents trained one by one.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from slicesim.mdp import project_or_reject
 from slicesim.nn import Mlp
 from slicesim.td3 import (
+    AgentHyperParams,
     Batch,
     Experience,
     ReplayBuffer,
@@ -21,14 +23,22 @@ from slicesim.td3 import (
     soft_update,
 )
 
+SHAPE_FIELDS = {f.name for f in dataclasses.fields(Td3Config)}
+
+
+def split_config(**kw):
+    """(Td3Config, AgentHyperParams) from one set of keywords, each going to
+    the record that declares it."""
+    shape = dict(state_dim=4, action_dim=3, block_size=3, actor_hidden=(16, 12),
+                 critic_hidden=(16, 12))
+    shape.update({k: v for k, v in kw.items() if k in SHAPE_FIELDS})
+    hyper = {k: v for k, v in kw.items() if k not in SHAPE_FIELDS}
+    return Td3Config(**shape), AgentHyperParams(**hyper)
+
 
 def make_agent(seed=0, **kw):
-    defaults = dict(state_dim=4, action_dim=3, block_size=3,
-                    constraint_mode="softmax_embedded",
-                    actor_hidden=(16, 12), critic_hidden=(16, 12),
-                    buffer_capacity=512)
-    defaults.update(kw)
-    return Td3Agent(Td3Config(**defaults), [np.random.default_rng(seed)])
+    cfg, hyper = split_config(**dict(dict(buffer_capacity=512), **kw))
+    return Td3Agent(cfg, hyper, [np.random.default_rng(seed)])
 
 
 def fill_buffer(agent, n, seed=1, reward_fn=None):
@@ -177,7 +187,7 @@ def test_identical_twins_stay_identical():
     agent.critics_target.flat[1] = agent.critics_target.flat[0]
     fill_buffer(agent, 64)
     for step in range(5):
-        batch = agent.buffer.sample([np.random.default_rng(step)], agent.config.batch_size)
+        batch = agent.buffer.sample([np.random.default_rng(step)], agent.hyper.batch_size)
         agent.critic_update(batch)
     for p1, p2 in zip(agent.critics.member(0).parameters(), agent.critics.member(1).parameters()):
         assert np.array_equal(p1, p2)
@@ -289,7 +299,7 @@ def test_policy_delay_schedule():
 
 def test_train_step_noop_below_batch_size():
     agent = make_agent(seed=19)
-    fill_buffer(agent, agent.config.batch_size - 1)
+    fill_buffer(agent, agent.hyper.batch_size - 1)
     keep = [p.copy() for p in agent.actor.parameters() + agent.critics.parameters()]
     diag = agent.train_step(0)
     assert not diag.updated
@@ -348,6 +358,12 @@ def test_agent_checkpoint_roundtrip():
     assert other.critic_opt.t == agent.critic_opt.t
 
 
+@pytest.mark.parametrize("gamma", [-0.1, 1.5])
+def test_hyper_gamma_outside_unit_interval_rejected(gamma):
+    with pytest.raises(ValueError, match="gamma"):
+        AgentHyperParams(gamma=gamma)
+
+
 def test_checkpoint_of_another_shape_rejected():
     blob = make_agent(seed=1, actor_hidden=(8,)).to_dict()
     with pytest.raises(ValueError):
@@ -360,11 +376,9 @@ def test_checkpoint_of_another_shape_rejected():
 
 
 def stacked_and_serial(count=3, seed=41, **kw):
-    cfg = Td3Config(**dict(dict(state_dim=4, action_dim=3, block_size=3, batch_size=8,
-                                actor_hidden=(16, 12), critic_hidden=(16, 12),
-                                buffer_capacity=64), **kw))
-    stacked = Td3Agent(cfg, np.random.default_rng(seed).spawn(count))
-    serial = [Td3Agent(cfg, [rng]) for rng in np.random.default_rng(seed).spawn(count)]
+    cfg, hyper = split_config(**dict(dict(batch_size=8, buffer_capacity=64), **kw))
+    stacked = Td3Agent(cfg, hyper, np.random.default_rng(seed).spawn(count))
+    serial = [Td3Agent(cfg, hyper, [rng]) for rng in np.random.default_rng(seed).spawn(count)]
     return stacked, serial
 
 
