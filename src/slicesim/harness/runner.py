@@ -4,11 +4,19 @@ Every environment step appends exactly one row to ``steps.csv`` with a fixed,
 scheme-independent schema. Floats are serialized with ``repr`` so re-parsing
 gives back the exact same doubles; identical config and seed therefore
 produce byte-identical CSVs.
+
+Rows stream to ``steps.csv.partial``, which becomes ``steps.csv`` only when
+the run completes, so a run that raises leaves neither ``steps.csv`` nor
+``summary.json``, not even an earlier run's in the same directory (the
+partial file stays, ending where the run died). A learning scheme also
+saves its agent as ``checkpoints/agent.npz``, the arrays of
+``Td3Agent.state``.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from pathlib import Path
 
@@ -54,6 +62,9 @@ def run_single(cfg: ExperimentConfig, kind: str, seed: int, out_dir) -> dict:
     t_start = time.perf_counter()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # a failed rerun must not leave an earlier run's results looking current
+    for stale in ("steps.csv", "summary.json"):
+        (out / stale).unlink(missing_ok=True)
     sc = cfg.scenario
     k, n = sc.cell_count, sc.slice_count
 
@@ -73,7 +84,8 @@ def run_single(cfg: ExperimentConfig, kind: str, seed: int, out_dir) -> dict:
 
     state = env.reset()
     csv_path = out / "steps.csv"
-    with open(csv_path, "w", newline="") as fh:
+    partial_path = out / "steps.csv.partial"
+    with open(partial_path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for step in range(cfg.phases.total):
             phase = cfg.phases.phase_of(step)
@@ -89,7 +101,7 @@ def run_single(cfg: ExperimentConfig, kind: str, seed: int, out_dir) -> dict:
             pen_term = float(np.mean(penalty_gaps(proposals)))
             pen_reward = reward_penalized(raw, proposals, cfg.rewards.beta)
             if phase != "eval":
-                controller.record(state, proposals, alloc, nxt)
+                controller.record(state, proposals, nxt)
             diag = controller.train(step) if phase == "train" and controller.trains else None
 
             masks = [sc.masks[j].value(nxt.t) for j in range(n)]
@@ -129,13 +141,13 @@ def run_single(cfg: ExperimentConfig, kind: str, seed: int, out_dir) -> dict:
     if controller.trains:
         ckpt_dir = out / "checkpoints"
         ckpt_dir.mkdir(exist_ok=True)
-        ckpt_path = ckpt_dir / "agent.json"
-        with open(ckpt_path, "w") as fh:
-            json.dump(controller.checkpoint(), fh)
+        ckpt_path = ckpt_dir / "agent.npz"
+        np.savez(ckpt_path, **controller.agent.state())
         summary["checkpoint"] = str(ckpt_path)
     else:
         summary["checkpoint"] = None
 
+    os.replace(partial_path, csv_path)
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)
     return summary

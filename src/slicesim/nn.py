@@ -18,6 +18,10 @@ arithmetic. A plain net is the case without the leading axis, with a flat
 ``(P,)`` array. ``Adam`` takes that flat array as its one parameter, and
 callers that update parameters in place work on it too, so one call covers
 every layer of every member.
+
+This module defines no file format. A network's and an optimizer's state
+are their flat arrays (``Mlp.flat``, ``Adam.m``/``v``/``t``), which
+``td3.Td3Agent.state`` collects into the checkpoint.
 """
 
 from __future__ import annotations
@@ -27,8 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 HEADS = ("linear", "sigmoid", "softmax_blocks")
-
-CHECKPOINT_FORMAT = "slicesim-mlp-v1"
 
 
 @dataclass(frozen=True)
@@ -242,29 +244,6 @@ class Mlp:
     def copy(self) -> "Mlp":
         return Mlp.from_flat(self.spec, self.flat.copy())
 
-    # -- checkpointing --------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """JSON-compatible checkpoint; floats survive round-trips bit-exactly."""
-        return {
-            "format": CHECKPOINT_FORMAT,
-            "layer_sizes": list(self.spec.layer_sizes),
-            "head": self.spec.head,
-            "block_size": self.spec.block_size,
-            "weights": [w.tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "Mlp":
-        if data.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"unsupported checkpoint format {data.get('format')!r}")
-        spec = MlpSpec(tuple(data["layer_sizes"]), head=data["head"],
-                       block_size=data["block_size"])
-        ws = [np.asarray(w, dtype=float) for w in data["weights"]]
-        bs = [np.asarray(b, dtype=float) for b in data["biases"]]
-        return Mlp(spec, ws, bs)
-
 
 class Adam:
     """Standard Adam with bias correction over one parameter array, updated
@@ -311,20 +290,3 @@ class Adam:
         b *= self.lr
         b /= a
         param -= b
-
-    def to_dict(self) -> dict:
-        return {
-            "lr": self.lr, "beta1": self.beta1, "beta2": self.beta2,
-            "eps": self.eps, "t": self.t,
-            "m": self.m.tolist(),
-            "v": self.v.tolist(),
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "Adam":
-        m = np.asarray(data["m"], dtype=float)
-        opt = Adam(m, lr=data["lr"], beta1=data["beta1"], beta2=data["beta2"], eps=data["eps"])
-        opt.m = m
-        opt.v = np.asarray(data["v"], dtype=float)
-        opt.t = data["t"]
-        return opt

@@ -53,8 +53,7 @@ class Controller:
     def act(self, net: NetState, phase: str, step: int) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def record(self, prev: NetState, proposals: np.ndarray, allocation: np.ndarray,
-               net: NetState) -> None:
+    def record(self, prev: NetState, proposals: np.ndarray, net: NetState) -> None:
         pass
 
     def param_count(self) -> int:
@@ -63,9 +62,6 @@ class Controller:
 
     def total_param_count(self) -> int:
         return 0
-
-    def checkpoint(self) -> dict:
-        return {"kind": self.kind}
 
 
 class StaticController(Controller):
@@ -168,9 +164,6 @@ class _LearningController(Controller):
     def total_param_count(self):
         return self.agent.members * self.agent.param_count()
 
-    def checkpoint(self):
-        return {"kind": self.kind, "agent": self.agent.to_dict()}
-
 
 class CentralController(_LearningController):
     """Single agent that sees every cell and emits the full allocation."""
@@ -193,7 +186,7 @@ class CentralController(_LearningController):
         shape = (self.scenario.cell_count, self.scenario.slice_count + 1)
         return prop.reshape(shape), act.reshape(shape)
 
-    def record(self, prev, proposals, allocation, net):
+    def record(self, prev, proposals, net):
         raw = reward_global(net, self.rewards)
         if self.kind == "cen_pen":
             stored = reward_penalized(raw, proposals, self.rewards.beta)
@@ -237,7 +230,7 @@ class DistributedController(_LearningController):
     def act(self, net, phase, step):
         return self._select(net, phase, step)
 
-    def record(self, prev, proposals, allocation, net):
+    def record(self, prev, proposals, net):
         rewards = [reward_local(net, self.rewards, k) for k in range(self.scenario.cell_count)]
         self.agent.buffer.add(Experience(
             state=self._observe(prev), proposal=proposals, reward=np.array(rewards),

@@ -24,8 +24,11 @@ carries the agents on a leading member axis:
 * the actor and its target are ``Mlp`` stacks with A members;
 * both twin critics share one stack with 2A members: member ``a`` is agent
   a's first critic and member ``A + a`` its second; the targets mirror it;
-* each stack's parameters are one flat ``(E, P)`` array, so Adam, the
-  Polyak update and checkpointing each touch one array per family;
+* each stack's parameters are one flat ``(E, P)`` array, so Adam and the
+  Polyak update each touch one array per family;
+* the checkpoint (``state``/``load_state``) is those four flat stacks plus
+  both optimizers' moments and step counts: ten named arrays, saved with
+  ``np.savez`` and restored in place;
 * the replay buffer stores ``(capacity, A, d)`` arrays and samples
   ``(A, batch, d)`` batches.
 
@@ -48,6 +51,7 @@ from .nn import Adam, Mlp, MlpSpec
 
 CONSTRAINT_MODES = ("softmax_embedded", "penalty")
 ACTION_MODES = ("explore_random", "train_noisy", "eval")
+_NETWORKS = ("actor", "critics", "actor_target", "critics_target")
 
 
 @dataclass
@@ -353,27 +357,47 @@ class Td3Agent:
 
     # -- checkpointing ----------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        """All four network stacks plus optimizer states (not the RNG streams)."""
-        return {
-            "actor": self.actor.to_dict(),
-            "critics": self.critics.to_dict(),
-            "actor_target": self.actor_target.to_dict(),
-            "critics_target": self.critics_target.to_dict(),
-            "actor_opt": self.actor_opt.to_dict(),
-            "critic_opt": self.critic_opt.to_dict(),
-        }
+    def _optimizers(self) -> tuple[tuple[str, Adam], ...]:
+        return ("actor", self.actor_opt), ("critic", self.critic_opt)
 
-    def load_dict(self, data: dict) -> None:
-        nets = {name: Mlp.from_dict(data[name])
-                for name in ("actor", "critics", "actor_target", "critics_target")}
-        if (nets["actor"].flat.shape != self.actor.flat.shape
-                or nets["critics"].flat.shape != self.critics.flat.shape):
-            raise ValueError("checkpoint networks do not match this agent's shapes")
-        for name, net in nets.items():
-            setattr(self, name, net)
-        self.actor_opt = Adam.from_dict(data["actor_opt"])
-        self.critic_opt = Adam.from_dict(data["critic_opt"])
+    def state(self) -> dict[str, np.ndarray]:
+        """The checkpoint: the four flat ``(E, P)`` stacks, each optimizer's
+        moments ``<family>_m``/``_v`` and its step count ``<family>_t`` (0-d).
+        Not the RNG streams or the replay buffer.
+
+        The parameter and moment arrays are the live ones, not copies, so
+        ``np.savez(path, **agent.state())`` writes them without a copy.
+        """
+        arrays = {name: getattr(self, name).flat for name in _NETWORKS}
+        for family, opt in self._optimizers():
+            arrays.update({f"{family}_m": opt.m, f"{family}_v": opt.v,
+                           f"{family}_t": np.array(opt.t)})
+        return arrays
+
+    def load_state(self, arrays) -> None:
+        """Restore a ``state()`` checkpoint from any mapping of its names to
+        arrays, such as ``np.load(path)``.
+
+        Values are copied into the live arrays, so the per-layer views and
+        gradient buffers stay bound; learning rates stay this agent's. Every
+        name, shape and dtype is checked before anything is copied, and a
+        missing name or any mismatch raises ``ValueError``.
+        """
+        loaded = {}
+        for name, live in self.state().items():
+            if name not in arrays:
+                raise ValueError(f"checkpoint has no {name!r} array")
+            value = np.asarray(arrays[name])
+            if value.shape != live.shape or value.dtype != live.dtype:
+                raise ValueError(f"checkpoint {name!r} is {value.dtype}{list(value.shape)}, "
+                                 f"this agent's is {live.dtype}{list(live.shape)}")
+            loaded[name] = value
+        for name in _NETWORKS:
+            getattr(self, name).flat[...] = loaded[name]
+        for family, opt in self._optimizers():
+            opt.m[...] = loaded[f"{family}_m"]
+            opt.v[...] = loaded[f"{family}_v"]
+            opt.t = int(loaded[f"{family}_t"])
 
     def param_count(self) -> int:
         """Parameters of one agent: its actor and both critics."""

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from slicesim.harness import runner
 from slicesim.harness.cli import main
 from slicesim.harness.compare import (compare_runs, format_table, load_summary,
                                       mean_curve, read_column)
@@ -18,6 +19,7 @@ from slicesim.harness.metrics import (mask_correlation, resource_efficiency, smo
 from slicesim.harness.runner import csv_header, run_experiment, run_single
 from slicesim.mdp import RewardSpec
 from slicesim.netsim import ConfigError, NetState, Topology
+from slicesim.schemes import BaselineController, build_scheme
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -346,7 +348,7 @@ def test_run_single_deterministic_csv(tmp_path):
     a = (tmp_path / "a" / "steps.csv").read_bytes()
     b = (tmp_path / "b" / "steps.csv").read_bytes()
     assert a == b
-    assert (tmp_path / "a" / "checkpoints" / "agent.json").exists()
+    assert (tmp_path / "a" / "checkpoints" / "agent.npz").exists()
 
 
 def test_run_single_different_seed_differs(tmp_path):
@@ -354,6 +356,46 @@ def test_run_single_different_seed_differs(tmp_path):
     run_single(cfg, "dist", 0, tmp_path / "a")
     run_single(cfg, "dist", 1, tmp_path / "b")
     assert (tmp_path / "a" / "steps.csv").read_bytes() != (tmp_path / "b" / "steps.csv").read_bytes()
+
+
+def test_run_single_checkpoint_loads_into_a_fresh_controller(tmp_path):
+    cfg = parse_config(tiny_config_data(phases=(40, 40, 20), kind="dist"))
+    agents = {}
+    for kind in ("dist", "cen_soft"):
+        summary = run_single(cfg, kind, 0, tmp_path / kind)
+        assert summary["checkpoint"] == str(tmp_path / kind / "checkpoints" / "agent.npz")
+        ctl = build_scheme(kind, cfg.scenario, cfg.rewards, cfg.scaling, cfg.hyper,
+                           np.random.default_rng(1), cfg.phases.anneal_steps)
+        with np.load(summary["checkpoint"]) as data:
+            ctl.agent.load_state(data)
+            state = ctl.agent.state()
+            for name in data.files:
+                assert np.array_equal(state[name], data[name]), (kind, name)
+        agents[kind] = ctl.agent
+    with np.load(tmp_path / "dist" / "checkpoints" / "agent.npz") as data:
+        with pytest.raises(ValueError):
+            agents["cen_soft"].load_state(data)
+
+
+class _ActFailsAtStep5(BaselineController):
+    def act(self, net, phase, step):
+        if step == 5:
+            raise RuntimeError("act failed at step 5")
+        return super().act(net, phase, step)
+
+
+def test_failed_run_leaves_no_steps_csv_or_summary(tmp_path, monkeypatch):
+    cfg = parse_config(tiny_config_data())
+    run_single(cfg, "baseline", 0, tmp_path)  # an earlier run's results, to be cleared
+    monkeypatch.setattr(runner, "build_scheme",
+                        lambda kind, sc, rewards, scaling, *_, **__:
+                        _ActFailsAtStep5(sc, rewards, scaling))
+    with pytest.raises(RuntimeError, match="step 5"):
+        run_single(cfg, "baseline", 1, tmp_path)
+    assert not (tmp_path / "steps.csv").exists()
+    assert not (tmp_path / "summary.json").exists()
+    # the rows written before the failure stay in the partial file
+    assert len((tmp_path / "steps.csv.partial").read_text().splitlines()) == 1 + 5
 
 
 def test_static_scheme_writes_no_checkpoint(tmp_path):

@@ -1,6 +1,4 @@
-"""MLP forward/backward, decoupled softmax, Adam, init, checkpoint tests."""
-
-import json
+"""MLP forward/backward, decoupled softmax, Adam and init tests."""
 
 import numpy as np
 import pytest
@@ -302,22 +300,8 @@ def test_adam_rejects_gradient_of_another_shape():
     assert np.array_equal(p, np.ones((3, 4))) and opt.t == 0
 
 
-def test_adam_checkpoint_roundtrip_continues_bit_for_bit():
-    rng = np.random.default_rng(10)
-    p = rng.normal(size=(2, 3))
-    opt = Adam(p, lr=0.01)
-    opt.step(p, rng.normal(size=p.shape))
-    data = json.loads(json.dumps(opt.to_dict()))
-    assert np.shape(data["m"]) == p.shape and np.shape(data["v"]) == p.shape
-    q, back = p.copy(), Adam.from_dict(data)
-    g = rng.normal(size=p.shape)
-    opt.step(p, g)
-    back.step(q, g)
-    assert np.array_equal(p, q)
-
-
 # ---------------------------------------------------------------------------
-# init and checkpointing
+# init
 # ---------------------------------------------------------------------------
 
 
@@ -337,23 +321,6 @@ def test_init_zero_biases_and_glorot_bounds():
     for w, fin, fout in zip(net.weights, spec.layer_sizes, spec.layer_sizes[1:]):
         lim = np.sqrt(6.0 / (fin + fout))
         assert np.all(np.abs(w) <= lim)
-
-
-def test_checkpoint_roundtrip_bit_exact():
-    net = Mlp.init(np.random.default_rng(9), MlpSpec((5, 7, 6), head="softmax_blocks", block_size=3))
-    blob = json.dumps(net.to_dict())
-    back = Mlp.from_dict(json.loads(blob))
-    assert back.spec == net.spec
-    for pa, pb in zip(net.parameters(), back.parameters()):
-        assert np.array_equal(pa, pb)
-
-
-def test_checkpoint_rejects_unknown_format():
-    net = Mlp.init(np.random.default_rng(9), MlpSpec((2, 2)))
-    d = net.to_dict()
-    d["format"] = "something-else"
-    with pytest.raises(ValueError):
-        Mlp.from_dict(d)
 
 
 def test_param_count():

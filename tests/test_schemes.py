@@ -129,7 +129,7 @@ def test_static_and_baseline_do_not_learn():
         ctl, sc, *_ = controller(kind)
         net = make_net(sc)
         _, alloc = ctl.act(net, "train", 5)
-        ctl.record(net, alloc, alloc, net)  # accepted and ignored
+        ctl.record(net, alloc, net)  # accepted and ignored
         assert not ctl.trains and not hasattr(ctl, "train")
         assert ctl.param_count() == 0
 
@@ -171,18 +171,18 @@ def test_cen_pen_proposals_can_violate():
 def test_dist_buffers_grow_by_one_per_record():
     ctl, sc, *_ = controller("dist")
     net = make_net(sc)
-    props, alloc = ctl.act(net, "explore", 0)
-    ctl.record(net, props, alloc, net)
+    props, _ = ctl.act(net, "explore", 0)
+    ctl.record(net, props, net)
     assert ctl.agent.buffer.size == 1
-    ctl.record(net, props, alloc, net)
+    ctl.record(net, props, net)
     assert ctl.agent.buffer.size == 2
 
 
 def test_dist_stores_local_rewards():
     ctl, sc, rewards, _ = controller("dist")
     net = make_net(sc)
-    props, alloc = ctl.act(net, "explore", 0)
-    ctl.record(net, props, alloc, net)
+    props, _ = ctl.act(net, "explore", 0)
+    ctl.record(net, props, net)
     for k in range(sc.cell_count):
         assert ctl.agent.buffer.peek(0).reward[k] == pytest.approx(reward_local(net, rewards, k))
 
@@ -190,16 +190,16 @@ def test_dist_stores_local_rewards():
 def test_cen_soft_stores_global_reward():
     ctl, sc, rewards, _ = controller("cen_soft")
     net = make_net(sc)
-    props, alloc = ctl.act(net, "explore", 0)
-    ctl.record(net, props, alloc, net)
+    props, _ = ctl.act(net, "explore", 0)
+    ctl.record(net, props, net)
     assert ctl.agent.buffer.peek(0).reward[0] == pytest.approx(reward_global(net, rewards))
 
 
 def test_cen_pen_stores_penalized_reward():
     ctl, sc, rewards, _ = controller("cen_pen", variant="delay_aware")
     net = make_net(sc)
-    props, alloc = ctl.act(net, "explore", 0)
-    ctl.record(net, props, alloc, net)
+    props, _ = ctl.act(net, "explore", 0)
+    ctl.record(net, props, net)
     expect = reward_penalized(reward_global(net, rewards), props, rewards.beta)
     assert ctl.agent.buffer.peek(0).reward[0] == pytest.approx(expect)
 
@@ -268,9 +268,9 @@ def test_training_changes_parameters_and_is_deterministic():
         rng = np.random.default_rng(13)
         net = make_net(sc, rng)
         for step in range(12):
-            props, alloc = ctl.act(net, "explore", step)
+            props, _ = ctl.act(net, "explore", step)
             nxt = make_net(sc, rng)
-            ctl.record(net, props, alloc, nxt)
+            ctl.record(net, props, nxt)
             net = nxt
         before = [p.copy() for p in ctl.agent.critics.parameters()]
         for step in range(6):

@@ -6,7 +6,6 @@ together with the same agents trained one by one.
 """
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -343,19 +342,53 @@ def test_training_deterministic_under_seed():
 # ---------------------------------------------------------------------------
 
 
-def test_agent_checkpoint_roundtrip():
-    agent = make_agent(seed=37)
+CHECKPOINT_NAMES = {"actor", "critics", "actor_target", "critics_target", "actor_m", "actor_v",
+                    "critic_m", "critic_v", "actor_t", "critic_t"}
+
+
+def trained_agent(seed=37):
+    agent = make_agent(seed=seed)
     fill_buffer(agent, 64)
     for step in range(10):
         agent.train_step(step)
-    blob = json.dumps(agent.to_dict())
+    return agent
+
+
+def load_saved(agent, into, path):
+    """Save ``agent`` with ``np.savez`` and load the file into ``into``."""
+    np.savez(path, **agent.state())
+    with np.load(path) as data:
+        assert set(data.files) == CHECKPOINT_NAMES
+        into.load_state(data)
+
+
+def test_agent_checkpoint_roundtrip(tmp_path):
+    agent = trained_agent()
     other = make_agent(seed=99)
-    other.load_dict(json.loads(blob))
-    for a, b in zip(agent.actor.parameters(), other.actor.parameters()):
-        assert np.array_equal(a, b)
-    for a, b in zip(agent.critics_target.parameters(), other.critics_target.parameters()):
-        assert np.array_equal(a, b)
-    assert other.critic_opt.t == agent.critic_opt.t
+    load_saved(agent, other, tmp_path / "agent.npz")
+    theirs = other.state()
+    for name, value in agent.state().items():
+        assert np.array_equal(theirs[name], value), name
+    assert (other.actor_opt.t, other.critic_opt.t) == (5, 10)
+    # copied in place: the per-layer views still read the loaded parameters
+    s = np.random.default_rng(3).random((1, 4))
+    assert np.array_equal(other.actor.forward(s), agent.actor.forward(s))
+
+
+def test_checkpoint_continues_training_bit_for_bit(tmp_path):
+    agent = trained_agent()
+    other = make_agent(seed=99)
+    load_saved(agent, other, tmp_path / "agent.npz")
+    # the checkpoint holds neither the replay buffer nor the RNG streams
+    for i in range(agent.buffer.size):
+        other.buffer.add(agent.buffer.peek(i))
+    for mine, theirs in zip(agent.rngs, other.rngs):
+        theirs.bit_generator.state = mine.bit_generator.state
+    # step 10 updates both families, so both Adams' m, v and t must be restored
+    agent.train_step(10)
+    other.train_step(10)
+    for name in ("actor", "critics", "actor_target", "critics_target"):
+        assert np.array_equal(getattr(other, name).flat, getattr(agent, name).flat), name
 
 
 @pytest.mark.parametrize("gamma", [-0.1, 1.5])
@@ -364,10 +397,26 @@ def test_hyper_gamma_outside_unit_interval_rejected(gamma):
         AgentHyperParams(gamma=gamma)
 
 
-def test_checkpoint_of_another_shape_rejected():
-    blob = make_agent(seed=1, actor_hidden=(8,)).to_dict()
-    with pytest.raises(ValueError):
-        make_agent(seed=2).load_dict(blob)
+def test_checkpoint_of_another_shape_rejected(tmp_path):
+    agent = make_agent(seed=2)
+    before = {name: value.copy() for name, value in agent.state().items()}
+    # the actor matches, so a copy made before every check would change it
+    with pytest.raises(ValueError, match="critics"):
+        load_saved(make_agent(seed=1, critic_hidden=(8,)), agent, tmp_path / "agent.npz")
+    for name, value in agent.state().items():
+        assert np.array_equal(value, before[name]), name
+
+
+@pytest.mark.parametrize("name, value", [("critic_t", None), ("actor_t", np.array(5.0))],
+                         ids=["missing", "float_step_count"])
+def test_checkpoint_missing_or_mistyped_array_rejected(name, value):
+    arrays = make_agent(seed=1).state()
+    if value is None:
+        del arrays[name]
+    else:
+        arrays[name] = value
+    with pytest.raises(ValueError, match=name):
+        make_agent(seed=2).load_state(arrays)
 
 
 # ---------------------------------------------------------------------------
