@@ -91,8 +91,8 @@ def _number(section: dict, key: str, path: str, default=None, minimum=None, maxi
     return v
 
 
-def _integer(section: dict, key: str, path: str, default=None, minimum=None):
-    v = _number(section, key, path, default=default, minimum=minimum)
+def _integer(section: dict, key: str, path: str, minimum=None):
+    v = _number(section, key, path, minimum=minimum)
     if int(v) != v:
         raise ConfigError(f"{path}.{key}: expected an integer")
     return int(v)
@@ -152,17 +152,20 @@ def parse_scenario(obj, path: str = "scenario") -> Scenario:
         dem.append(float(_number(s, "demand_per_user", sp, minimum=1e-9)))
         groups.append(_integer(s, "group_size_max", sp, minimum=1))
         masks.append(parse_mask(_require(s, "mask", sp), f"{sp}.mask"))
+    # an absent key takes the Scenario default
+    optional = {key: float(_number(section, key, path, minimum=low))
+                for key, low in (("p_stay", 0.0), ("delay_base_s", 1e-12),
+                                 ("load_cap", 1e-6), ("fp_tol", 1e-12))
+                if key in section}
+    if "fp_max_iter" in section:
+        optional["fp_max_iter"] = _integer(section, "fp_max_iter", path, minimum=1)
     try:
         return Scenario(
             topology=topology,
             slices=SliceSpec(tuple(thr), tuple(dly), tuple(dem)),
             masks=tuple(masks),
             group_size_max=tuple(groups),
-            p_stay=float(_number(section, "p_stay", path, default=0.8, minimum=0.0)),
-            delay_base_s=float(_number(section, "delay_base_s", path, default=5e-4, minimum=1e-12)),
-            load_cap=float(_number(section, "load_cap", path, default=0.99, minimum=1e-6)),
-            fp_tol=float(_number(section, "fp_tol", path, default=1e-6, minimum=1e-12)),
-            fp_max_iter=_integer(section, "fp_max_iter", path, default=1000, minimum=1),
+            **optional,
         )
     except ConfigError as e:
         raise ConfigError(f"{path}: {e}") from None
@@ -173,11 +176,14 @@ def parse_rewards(scheme_section: dict, scenario: Scenario, path: str = "scheme"
     if variant not in REWARD_VARIANTS:
         raise ConfigError(f"{path}.reward_variant: unknown variant {variant!r} "
                           f"(expected one of {REWARD_VARIANTS})")
+    optional = {}
+    if "beta" in scheme_section:
+        optional["beta"] = float(_number(scheme_section, "beta", path, minimum=0.0))
     return RewardSpec(
         variant=variant,
         throughput_req=scenario.slices.throughput_req,
         delay_req=scenario.slices.delay_req,
-        beta=float(_number(scheme_section, "beta", path, default=1.2, minimum=0.0)),
+        **optional,
     )
 
 
@@ -247,11 +253,8 @@ def parse_config(data: dict) -> ExperimentConfig:
 
     phases_section = _check_section(data.get("phases", {}), "phases",
                                     ("explore", "train", "eval"))
-    phases = PhasePlan(
-        explore=_integer(phases_section, "explore", "phases", default=2500, minimum=0),
-        train=_integer(phases_section, "train", "phases", default=10000, minimum=0),
-        eval=_integer(phases_section, "eval", "phases", default=2500, minimum=0),
-    )
+    phases = PhasePlan(**{key: _integer(phases_section, key, "phases", minimum=0)
+                          for key in ("explore", "train", "eval") if key in phases_section})
 
     seeds = data.get("seeds", [0])
     if not isinstance(seeds, list) or not seeds:

@@ -7,19 +7,20 @@ import numpy as np
 from ..netsim import NetState, Topology
 
 
-def resource_efficiency(net: NetState, allocation: np.ndarray, topology: Topology,
-                        k: int) -> float:
-    """Cell k's average served throughput per allocated bandwidth (bit/s/Hz).
+def resource_efficiency(net: NetState, allocation: np.ndarray,
+                        topology: Topology) -> np.ndarray:
+    """Each cell's average served throughput per allocated bandwidth
+    (bit/s/Hz), as a (K,) array.
 
     Per slice: served traffic (per-user throughput times users) divided by
     the slice's allocated bandwidth; slices with zero allocation contribute
-    zero. The cell value is the mean over slices.
+    zero. A cell's value is the mean over its slices.
     """
-    served = net.throughput[k] * net.users[k]
-    share = allocation[k, 1:]
+    served = net.throughput * net.users
+    share = allocation[:, 1:]
     terms = np.zeros_like(served, dtype=float)
     np.divide(served, share * topology.bandwidth_hz, out=terms, where=share > 0)
-    return float(terms.mean())
+    return terms.mean(axis=1)
 
 
 def mask_correlation(actions, mask_values) -> float:

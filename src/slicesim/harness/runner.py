@@ -5,6 +5,12 @@ scheme-independent schema. Floats are serialized with ``repr`` so re-parsing
 gives back the exact same doubles; identical config and seed therefore
 produce byte-identical CSVs.
 
+Each step's values are computed once: the step's penalty gaps feed both the
+``penalty`` column and the penalized reward, and one ``resource_efficiency``
+call gives every cell's efficiency. What ``summary.json`` reads is stored in
+arrays indexed by step (per-slice values summed over cells, the allocation
+share averaged over cells), and the summary is built from those arrays.
+
 Rows stream to ``steps.csv.partial``, which becomes ``steps.csv`` only when
 the run completes, so a run that raises leaves neither ``steps.csv`` nor
 ``summary.json``, not even an earlier run's in the same directory (the
@@ -67,18 +73,18 @@ def run_single(cfg: ExperimentConfig, kind: str, seed: int, out_dir) -> dict:
         (out / stale).unlink(missing_ok=True)
     sc = cfg.scenario
     k, n = sc.cell_count, sc.slice_count
+    plan = cfg.phases
 
     env_ss, ctl_ss = np.random.SeedSequence(seed).spawn(2)
     env = SliceEnv(sc, env_ss)
     controller = build_scheme(kind, sc, cfg.rewards, cfg.scaling, cfg.hyper,
-                              np.random.default_rng(ctl_ss), cfg.phases.anneal_steps,
+                              np.random.default_rng(ctl_ss), plan.anneal_steps,
                               static_allocation=cfg.static_allocation)
 
-    header = csv_header(k, n)
-    phases, rewards_raw, rewards_pen, penalties = [], [], [], []
-    etas, served, users_tot, delay_w = [], [], [], []
-    act_share = []
-    mask_trace = []
+    # what the summary reads, one entry per step; per-slice values are
+    # summed over cells, except the allocation share, a mean over cells
+    raw, pen_reward, penalty, eta_mean = (np.empty(plan.total) for _ in range(4))
+    served, users, delay_w, share, mask = (np.empty((plan.total, n)) for _ in range(5))
     violations = 0
     nonconverged = 0
 
@@ -86,9 +92,9 @@ def run_single(cfg: ExperimentConfig, kind: str, seed: int, out_dir) -> dict:
     csv_path = out / "steps.csv"
     partial_path = out / "steps.csv.partial"
     with open(partial_path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for step in range(cfg.phases.total):
-            phase = cfg.phases.phase_of(step)
+        fh.write(",".join(csv_header(k, n)) + "\n")
+        for step in range(plan.total):
+            phase = plan.phase_of(step)
             proposals, alloc = controller.act(state, phase, step)
             gap = np.abs(alloc.sum(axis=1) - 1.0).max()
             if gap > SIMPLEX_ATOL or (alloc < -SIMPLEX_ATOL).any():
@@ -97,44 +103,75 @@ def run_single(cfg: ExperimentConfig, kind: str, seed: int, out_dir) -> dict:
             if not nxt.fp_converged:
                 nonconverged += 1
 
-            raw = reward_global(nxt, cfg.rewards)
-            pen_term = float(np.mean(penalty_gaps(proposals)))
-            pen_reward = reward_penalized(raw, proposals, cfg.rewards.beta)
+            raw[step] = reward_global(nxt, cfg.rewards)
+            gaps = penalty_gaps(proposals)
+            penalty[step] = np.mean(gaps)
+            pen_reward[step] = reward_penalized(raw[step], gaps, cfg.rewards.beta)
             if phase != "eval":
                 controller.record(state, proposals, nxt)
             diag = controller.train(step) if phase == "train" and controller.trains else None
 
-            masks = [sc.masks[j].value(nxt.t) for j in range(n)]
-            eta = [resource_efficiency(nxt, alloc, sc.topology, i) for i in range(k)]
-            # mean over agents; with one agent this is its own value, exactly
-            row = [step, phase, raw, pen_reward, pen_term,
-                   np.mean(diag.critic_loss) if diag else float("nan"),
-                   np.mean(diag.actor_objective) if diag else float("nan"),
-                   nxt.fp_converged]
-            row += masks
-            row += eta
-            row += [nxt.throughput[i, j] for i in range(k) for j in range(n)]
-            row += [nxt.delay[i, j] for i in range(k) for j in range(n)]
-            row += [nxt.load[i, j] for i in range(k) for j in range(n)]
-            row += [int(nxt.users[i, j]) for i in range(k) for j in range(n)]
-            row += [alloc[i, j] for i in range(k) for j in range(n + 1)]
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+            mask[step] = [m.value(nxt.t) for m in sc.masks]
+            eta = resource_efficiency(nxt, alloc, sc.topology)
+            eta_mean[step] = np.mean(eta)
+            served[step] = (nxt.throughput * nxt.users).sum(axis=0)
+            users[step] = nxt.users.sum(axis=0)
+            delay_w[step] = (nxt.delay * nxt.users).sum(axis=0)
+            share[step] = alloc[:, 1:].mean(axis=0)
 
-            phases.append(phase)
-            rewards_raw.append(raw)
-            rewards_pen.append(pen_reward)
-            penalties.append(pen_term)
-            etas.append(float(np.mean(eta)))
-            served.append((nxt.throughput * nxt.users).sum(axis=0))
-            users_tot.append(nxt.users.sum(axis=0))
-            delay_w.append((nxt.delay * nxt.users).sum(axis=0))
-            act_share.append(alloc[:, 1:].mean(axis=0))
-            mask_trace.append(masks)
+            # mean over agents; with one agent this is its own value, exactly
+            head = [step, phase, raw[step], pen_reward[step], penalty[step],
+                    np.mean(diag.critic_loss) if diag else float("nan"),
+                    np.mean(diag.actor_objective) if diag else float("nan"),
+                    nxt.fp_converged]
+            floats = np.concatenate([mask[step], eta, nxt.throughput, nxt.delay, nxt.load],
+                                    axis=None)
+            fh.write(",".join([*map(_fmt, head), *map(repr, floats.tolist()),
+                               *map(str, nxt.users.ravel().tolist()),
+                               *map(repr, alloc.ravel().tolist())]) + "\n")
             state = nxt
 
-    summary = _summarize(cfg, kind, seed, phases, rewards_raw, rewards_pen, penalties,
-                         etas, served, users_tot, delay_w, act_share, mask_trace,
-                         violations, nonconverged, controller)
+    train = slice(plan.explore, plan.anneal_steps)
+    ev = slice(plan.anneal_steps, plan.total)
+
+    def eval_mean(x):
+        return _json_safe(float(np.mean(x[ev]))) if plan.eval else None
+
+    summary = {
+        "scheme": kind,
+        "seed": seed,
+        "scenario_hash": cfg.scenario_hash,
+        "phases": {"explore": plan.explore, "train": plan.train, "eval": plan.eval},
+        "total_steps": plan.total,
+        "mean_eval_reward": eval_mean(raw),
+        "mean_eval_reward_penalized": eval_mean(pen_reward),
+        "mean_eval_eta": eval_mean(eta_mean),
+        "simplex_violations": violations,
+        "fp_nonconverged_steps": nonconverged,
+        "param_count": int(controller.param_count()),
+        "total_param_count": int(controller.total_param_count()),
+    }
+    for j in range(n):
+        active = users[ev, j] > 0
+        if active.any():
+            u = users[ev, j][active]
+            per_user = served[ev, j][active] / u
+            ratio = float(np.mean(per_user / sc.slices.throughput_req[j]))
+            delay = float(np.mean(delay_w[ev, j][active] / u))
+        else:
+            ratio, delay = float("nan"), float("nan")
+        summary[f"throughput_ratio_s{j + 1}"] = _json_safe(ratio)
+        summary[f"mean_delay_s_s{j + 1}"] = _json_safe(delay)
+    if plan.train:
+        summary["penalty_mean_last_1000_train"] = float(np.mean(penalty[train][-1000:]))
+        summary["steps_to_90pct_train_reward"] = int(
+            steps_to_fraction_of_final(raw[train], fraction=0.9, window=100))
+    else:
+        summary["penalty_mean_last_1000_train"] = None
+        summary["steps_to_90pct_train_reward"] = None
+    for j in range(n):
+        corr = mask_correlation(share[ev, j], mask[ev, j]) if plan.eval else float("nan")
+        summary[f"mask_correlation_s{j + 1}"] = _json_safe(corr)
     summary["runtime_s"] = round(time.perf_counter() - t_start, 3)
     summary["steps_csv"] = str(csv_path)
 
@@ -150,74 +187,6 @@ def run_single(cfg: ExperimentConfig, kind: str, seed: int, out_dir) -> dict:
     os.replace(partial_path, csv_path)
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)
-    return summary
-
-
-def _summarize(cfg, kind, seed, phases, rewards_raw, rewards_pen, penalties, etas,
-               served, users_tot, delay_w, act_share, mask_trace,
-               violations, nonconverged, controller) -> dict:
-    sc = cfg.scenario
-    n = sc.slice_count
-    phase_arr = np.array(phases)
-    raw = np.array(rewards_raw)
-    pen_reward = np.array(rewards_pen)
-    pen = np.array(penalties)
-    eta = np.array(etas)
-    served_a = np.array(served)  # (T, N) summed over cells
-    users_a = np.array(users_tot)  # (T, N)
-    delay_a = np.array(delay_w)  # (T, N) user-weighted sums
-    share_a = np.array(act_share)  # (T, N) mean over cells
-    mask_a = np.array(mask_trace)  # (T, N)
-
-    is_eval = phase_arr == "eval"
-    is_train = phase_arr == "train"
-
-    def eval_mean(x):
-        return float(np.mean(x[is_eval])) if is_eval.any() else float("nan")
-
-    summary = {
-        "scheme": kind,
-        "seed": seed,
-        "scenario_hash": cfg.scenario_hash,
-        "phases": {"explore": cfg.phases.explore, "train": cfg.phases.train,
-                   "eval": cfg.phases.eval},
-        "total_steps": int(cfg.phases.total),
-        "mean_eval_reward": _json_safe(eval_mean(raw)),
-        "mean_eval_reward_penalized": _json_safe(eval_mean(pen_reward)),
-        "mean_eval_eta": _json_safe(eval_mean(eta)),
-        "simplex_violations": int(violations),
-        "fp_nonconverged_steps": int(nonconverged),
-        "param_count": int(controller.param_count()),
-        "total_param_count": int(controller.total_param_count()),
-    }
-
-    for j in range(n):
-        active = is_eval & (users_a[:, j] > 0)
-        if active.any():
-            per_user = served_a[active, j] / users_a[active, j]
-            ratio = float(np.mean(per_user / sc.slices.throughput_req[j]))
-            delay = float(np.mean(delay_a[active, j] / users_a[active, j]))
-        else:
-            ratio, delay = float("nan"), float("nan")
-        summary[f"throughput_ratio_s{j + 1}"] = _json_safe(ratio)
-        summary[f"mean_delay_s_s{j + 1}"] = _json_safe(delay)
-
-    if is_train.any():
-        tail = pen[is_train][-1000:]
-        summary["penalty_mean_last_1000_train"] = float(np.mean(tail))
-        summary["steps_to_90pct_train_reward"] = int(
-            steps_to_fraction_of_final(raw[is_train], fraction=0.9, window=100))
-    else:
-        summary["penalty_mean_last_1000_train"] = None
-        summary["steps_to_90pct_train_reward"] = None
-
-    for j in range(n):
-        if is_eval.any():
-            corr = mask_correlation(share_a[is_eval, j], mask_a[is_eval, j])
-        else:
-            corr = float("nan")
-        summary[f"mask_correlation_s{j + 1}"] = _json_safe(corr)
-
     return summary
 
 

@@ -122,10 +122,10 @@ def penalty_gaps(proposal: np.ndarray) -> np.ndarray:
     return np.abs(a.sum(axis=-1) - 1.0)
 
 
-def reward_penalized(raw_reward: float, proposal: np.ndarray, beta: float) -> float:
-    """Raw reward minus beta times the mean budget gap over cells."""
-    gaps = np.atleast_1d(penalty_gaps(proposal))
-    return float(raw_reward - beta * gaps.mean())
+def reward_penalized(raw_reward: float, gaps: np.ndarray, beta: float) -> float:
+    """Raw reward minus beta times the mean of the budget ``gaps`` that
+    :func:`penalty_gaps` gives for a proposal."""
+    return float(raw_reward - beta * np.mean(gaps))
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,12 @@ class Mlp:
         return Mlp.from_flat(self.spec, self.flat.copy())
 
 
+# Adam's moment decay rates and denominator offset (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Standard Adam with bias correction over one parameter array, updated
     in place (an Mlp's ``flat``, so one step covers every layer and member).
@@ -253,12 +259,8 @@ class Adam:
     allocates no temporaries the size of the parameters.
     """
 
-    def __init__(self, param: np.ndarray, lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, param: np.ndarray, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros_like(param)
         self.v = np.zeros_like(param)
@@ -272,20 +274,20 @@ class Adam:
         if not np.isfinite(grad).all():
             raise FloatingPointError("non-finite gradient passed to Adam")
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - ADAM_BETA1 ** self.t
+        c2 = 1.0 - ADAM_BETA2 ** self.t
         m, v, (a, b) = self.m, self.v, self._work
         # param -= lr * (m / c1) / (sqrt(v / c2) + eps), one operation at a time
-        m *= self.beta1
-        np.multiply(grad, 1.0 - self.beta1, out=a)
+        m *= ADAM_BETA1
+        np.multiply(grad, 1.0 - ADAM_BETA1, out=a)
         m += a
-        v *= self.beta2
+        v *= ADAM_BETA2
         np.square(grad, out=a)
-        a *= 1.0 - self.beta2
+        a *= 1.0 - ADAM_BETA2
         v += a
         np.divide(v, c2, out=a)
         np.sqrt(a, out=a)
-        a += self.eps
+        a += ADAM_EPS
         np.divide(m, c1, out=b)
         b *= self.lr
         b /= a

@@ -28,6 +28,7 @@ from .mdp import (
     extract_message,
     global_state,
     local_state,
+    penalty_gaps,
     reward_global,
     reward_local,
     reward_penalized,
@@ -189,7 +190,7 @@ class CentralController(_LearningController):
     def record(self, prev, proposals, net):
         raw = reward_global(net, self.rewards)
         if self.kind == "cen_pen":
-            stored = reward_penalized(raw, proposals, self.rewards.beta)
+            stored = reward_penalized(raw, penalty_gaps(proposals), self.rewards.beta)
         else:
             stored = raw
         self.agent.buffer.add(Experience(

@@ -24,11 +24,11 @@ from slicesim.schemes import BaselineController, build_scheme
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
-def tiny_config_data(phases=(5, 6, 4), kind="static_default", mask_value=1.0):
+def tiny_config_data(phases=(5, 6, 4), kind="static_default", mask_value=1.0, cells=1):
     return {
         "scenario": {
             "topology": "ring",
-            "cells": 1,
+            "cells": cells,
             "bandwidth_hz": 20e6,
             "coupling": 0.0,
             "se_max": 2.0,
@@ -74,6 +74,20 @@ def test_missing_field_has_dotted_path():
     del data["scenario"]["slices"][0]["throughput_req"]
     with pytest.raises(ConfigError, match=r"scenario\.slices\[0\]\.throughput_req"):
         parse_config(data)
+
+
+def test_omitted_optional_fields_take_their_defaults():
+    data = tiny_config_data()
+    del data["scenario"]["p_stay"]
+    del data["phases"]
+    cfg = parse_config(data)
+    sc = cfg.scenario
+    assert (sc.p_stay, sc.delay_base_s, sc.load_cap, sc.fp_tol, sc.fp_max_iter) == (
+        0.8, 5e-4, 0.99, 1e-6, 1000)
+    assert cfg.rewards.beta == 1.2
+    assert cfg.phases == PhasePlan(explore=2500, train=10000, eval=2500)
+    data["phases"] = {"train": 7}
+    assert parse_config(data).phases == PhasePlan(explore=2500, train=7, eval=2500)
 
 
 def test_unknown_scheme_kind_rejected():
@@ -204,32 +218,35 @@ def _state(throughput, users):
 
 
 def test_resource_efficiency_worked_example():
-    # served (4, 2) Mbit/s on shares (0.4, 0.2) of 20 MHz -> 0.5 bit/s/Hz
-    topo = Topology.ring(1, bandwidth_hz=20e6, coupling=0.0, se_max=2.0)
-    net = _state([[2e6, 2e6]], [[2, 1]])
-    alloc = np.array([[0.4, 0.4, 0.2]])
-    assert resource_efficiency(net, alloc, topo, 0) == pytest.approx(0.5, abs=1e-12)
+    # cell 1: served (4, 2) Mbit/s on shares (0.4, 0.2) of 20 MHz -> (0.5, 0.5);
+    # cell 2: served (2, 3) Mbit/s on shares (0.1, 0.5) -> (1.0, 0.3)
+    topo = Topology.ring(2, bandwidth_hz=20e6, coupling=0.0, se_max=2.0)
+    net = _state([[2e6, 2e6], [1e6, 3e6]], [[2, 1], [2, 1]])
+    alloc = np.array([[0.4, 0.4, 0.2], [0.4, 0.1, 0.5]])
+    eta = resource_efficiency(net, alloc, topo)
+    assert eta.shape == (2,)
+    np.testing.assert_allclose(eta, [0.5, 0.65], rtol=0, atol=1e-12)
 
 
 def test_resource_efficiency_zero_traffic():
     topo = Topology.ring(1, bandwidth_hz=20e6, coupling=0.0, se_max=2.0)
     net = _state([[0.0, 0.0]], [[0, 0]])
-    assert resource_efficiency(net, np.array([[0.2, 0.4, 0.4]]), topo, 0) == 0.0
+    assert resource_efficiency(net, np.array([[0.2, 0.4, 0.4]]), topo).tolist() == [0.0]
 
 
 def test_resource_efficiency_halved_share_doubles_term():
     topo = Topology.ring(1, bandwidth_hz=20e6, coupling=0.0, se_max=2.0)
     net = _state([[2e6, 2e6]], [[2, 1]])
-    full = resource_efficiency(net, np.array([[0.4, 0.4, 0.2]]), topo, 0)
-    halved = resource_efficiency(net, np.array([[0.6, 0.2, 0.2]]), topo, 0)
-    assert halved == pytest.approx(full + 0.25, abs=1e-12)  # slice-1 term 0.5 -> 1.0
+    full = resource_efficiency(net, np.array([[0.4, 0.4, 0.2]]), topo)
+    halved = resource_efficiency(net, np.array([[0.6, 0.2, 0.2]]), topo)
+    assert halved[0] == pytest.approx(full[0] + 0.25, abs=1e-12)  # slice-1 term 0.5 -> 1.0
 
 
 def test_resource_efficiency_zero_share_contributes_zero():
     topo = Topology.ring(1, bandwidth_hz=20e6, coupling=0.0, se_max=2.0)
     net = _state([[2e6, 2e6]], [[2, 1]])
-    v = resource_efficiency(net, np.array([[0.8, 0.0, 0.2]]), topo, 0)
-    assert v == pytest.approx(0.25, abs=1e-12)  # only slice 2's 0.5, averaged
+    v = resource_efficiency(net, np.array([[0.8, 0.0, 0.2]]), topo)
+    assert v[0] == pytest.approx(0.25, abs=1e-12)  # only slice 2's 0.5, averaged
 
 
 def test_mask_correlation_exact():
@@ -405,42 +422,58 @@ def test_static_scheme_writes_no_checkpoint(tmp_path):
     assert not (tmp_path / "checkpoints").exists()
 
 
-def test_summary_self_consistency_from_csv(tmp_path):
-    cfg = parse_config(tiny_config_data(phases=(35, 80, 40), kind="dist"))
+@pytest.mark.parametrize("cells", [1, 3])
+def test_summary_self_consistency_from_csv(cells, tmp_path):
+    data = tiny_config_data(phases=(35, 80, 40), kind="dist", cells=cells)
+    data["scenario"]["p_stay"] = 0.5
+    for sl in data["scenario"]["slices"]:
+        sl["mask"] = {"period": 40.0, "breakpoints": [[0.0, 1.0], [20.0, 0.3]]}
+    cfg = parse_config(data)
     summary = run_single(cfg, "dist", 3, tmp_path)
     rows = [ln.split(",") for ln in (tmp_path / "steps.csv").read_text().splitlines()]
     header, body = rows[0], rows[1:]
     col = {name: i for i, name in enumerate(header)}
 
-    def f(row, name):
-        return float(row[col[name]])
+    def f(rows, name):
+        return np.array([float(r[col[name]]) for r in rows])
 
     ev = [r for r in body if r[col["phase"]] == "eval"]
     tr = [r for r in body if r[col["phase"]] == "train"]
-    assert abs(np.mean([f(r, "reward_raw") for r in ev]) - summary["mean_eval_reward"]) < 1e-9
-    assert abs(np.mean([f(r, "eta_c1") for r in ev]) - summary["mean_eval_eta"]) < 1e-9
+    cell_ids = range(1, cells + 1)
+    # every cell's eta, recomputed from its served traffic and allocation
+    for c in cell_ids:
+        terms = []
+        for s in (1, 2):
+            served = f(body, f"phi_c{c}_s{s}") * f(body, f"users_c{c}_s{s}")
+            share = f(body, f"action_c{c}_a{s}")
+            terms.append(np.where(share > 0, served / np.where(share > 0, share, 1) / 20e6,
+                                  0.0))
+        np.testing.assert_allclose(f(body, f"eta_c{c}"), np.mean(terms, axis=0),
+                                   rtol=1e-12, atol=0)
+    assert abs(np.mean(f(ev, "reward_raw")) - summary["mean_eval_reward"]) < 1e-9
+    eta = np.mean([f(ev, f"eta_c{c}") for c in cell_ids], axis=0)
+    assert abs(np.mean(eta) - summary["mean_eval_eta"]) < 1e-9
 
     for s, req in ((1, 5e6), (2, 3e6)):
-        served = np.array([f(r, f"phi_c1_s{s}") * f(r, f"users_c1_s{s}") for r in ev])
-        users = np.array([f(r, f"users_c1_s{s}") for r in ev])
+        # slice KPIs sum over cells before the per-user division
+        served = sum(f(ev, f"phi_c{c}_s{s}") * f(ev, f"users_c{c}_s{s}") for c in cell_ids)
+        users = sum(f(ev, f"users_c{c}_s{s}") for c in cell_ids)
+        delay = sum(f(ev, f"delay_c{c}_s{s}") * f(ev, f"users_c{c}_s{s}") for c in cell_ids)
         active = users > 0
         ratio = np.mean(served[active] / users[active] / req)
         assert abs(ratio - summary[f"throughput_ratio_s{s}"]) < 1e-9
-        delay = np.array([f(r, f"delay_c1_s{s}") * f(r, f"users_c1_s{s}") for r in ev])
         assert abs(np.mean(delay[active] / users[active]) - summary[f"mean_delay_s_s{s}"]) < 1e-9
 
-    pen = np.array([f(r, "penalty") for r in tr])
-    assert abs(np.mean(pen[-1000:]) - summary["penalty_mean_last_1000_train"]) < 1e-9
-    raw_tr = np.array([f(r, "reward_raw") for r in tr])
-    assert steps_to_fraction_of_final(raw_tr) == summary["steps_to_90pct_train_reward"]
+        share = np.mean([f(ev, f"action_c{c}_a{s}") for c in cell_ids], axis=0)
+        corr = mask_correlation(share, f(ev, f"mask_s{s}"))
+        if summary[f"mask_correlation_s{s}"] is None:
+            assert np.isnan(corr)
+        else:
+            assert abs(corr - summary[f"mask_correlation_s{s}"]) < 1e-9
 
-    share = np.array([f(r, "action_c1_a1") for r in ev])
-    mask = np.array([f(r, "mask_s1") for r in ev])
-    corr = mask_correlation(share, mask)
-    if summary["mask_correlation_s1"] is None:
-        assert np.isnan(corr)
-    else:
-        assert abs(corr - summary["mask_correlation_s1"]) < 1e-9
+    pen = f(tr, "penalty")
+    assert abs(np.mean(pen[-1000:]) - summary["penalty_mean_last_1000_train"]) < 1e-9
+    assert steps_to_fraction_of_final(f(tr, "reward_raw")) == summary["steps_to_90pct_train_reward"]
 
 
 def test_run_experiment_layout(tmp_path):

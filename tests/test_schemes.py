@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from slicesim.mdp import RewardSpec, StateScaling, reward_global, reward_local, reward_penalized
+from slicesim.mdp import (RewardSpec, StateScaling, penalty_gaps, reward_global, reward_local,
+                          reward_penalized)
 from slicesim.netsim import (
     ConfigError,
     NetState,
@@ -200,7 +201,7 @@ def test_cen_pen_stores_penalized_reward():
     net = make_net(sc)
     props, _ = ctl.act(net, "explore", 0)
     ctl.record(net, props, net)
-    expect = reward_penalized(reward_global(net, rewards), props, rewards.beta)
+    expect = reward_penalized(reward_global(net, rewards), penalty_gaps(props), rewards.beta)
     assert ctl.agent.buffer.peek(0).reward[0] == pytest.approx(expect)
 
 
