@@ -5,7 +5,10 @@ Runs the reference scenario for 30/120/30 explore/train/eval steps under
 seeds 0 and 1, for all six schemes, and compares each ``steps.csv`` with a
 digest recorded before the batched learner replaced the per-agent one, and
 each ``summary.json`` with a digest recorded before the runner kept its
-per-step values in arrays. The summary digest covers the summary's values
+per-step values in arrays. The two heuristic schemes also run on a 12-cell
+grid (cells of two, three and four neighbours, where every ring cell has
+two), with both digests recorded before the environment step was
+vectorised; their keys start with ``grid12/``. The summary digest covers the summary's values
 without ``runtime_s`` (wall clock) and the two file paths, serialized as
 canonical JSON. Digests depend on numpy's floating-point kernels, so they
 are keyed by numpy version; with no entry for the running numpy the tests
@@ -33,17 +36,25 @@ ROOT = Path(__file__).resolve().parent.parent
 DIGESTS_PATH = Path(__file__).resolve().parent / "golden_digests.json"
 PHASES = {"explore": 30, "train": 120, "eval": 30}
 SEEDS = (0, 1)
+GRID_KINDS = ("baseline", "static_default")
+GRID = "grid12/"
 # summary fields that name paths or hold wall-clock time
 UNSTABLE_SUMMARY_KEYS = ("runtime_s", "steps_csv", "checkpoint")
 
 
-def short_config():
+def short_config(prefix: str = ""):
+    """The reference config on the short plan; with ``GRID``, on a 12-cell
+    grid with two users per cell and slice, as on the ring."""
     data = json.loads((ROOT / "configs" / "reference.json").read_text())
     data["phases"] = dict(PHASES)
+    if prefix == GRID:
+        data["scenario"].update(topology="grid", cells=12, coupling=0.15)
+        for s in data["scenario"]["slices"]:
+            s["group_size_max"] = 24
     return parse_config(data)
 
 
-def run_digests(cfg, kind: str, seed: int, out: Path) -> dict:
+def run_digests(cfg, kind: str, seed: int, out: Path, prefix: str = "") -> dict:
     """Digests of one run, keyed as in ``golden_digests.json``."""
     run_single(cfg, kind, seed, out)
     summary = json.loads((out / "summary.json").read_text())
@@ -51,8 +62,8 @@ def run_digests(cfg, kind: str, seed: int, out: Path) -> dict:
         del summary[key]
     canonical = json.dumps(summary, sort_keys=True, separators=(",", ":"))
     return {
-        f"{kind}/seed{seed}": hashlib.sha256((out / "steps.csv").read_bytes()).hexdigest(),
-        f"{kind}/seed{seed}/summary.json": hashlib.sha256(canonical.encode()).hexdigest(),
+        f"{prefix}{kind}/seed{seed}": hashlib.sha256((out / "steps.csv").read_bytes()).hexdigest(),
+        f"{prefix}{kind}/seed{seed}/summary.json": hashlib.sha256(canonical.encode()).hexdigest(),
     }
 
 
@@ -65,47 +76,57 @@ def runs(tmp_path_factory):
     """Digests of each scheme's runs, computed once per module."""
     cache = {}
 
-    def get(kind: str) -> dict:
-        if kind not in cache:
-            cfg = short_config()
-            cache[kind] = {}
+    def get(kind: str, prefix: str = "") -> dict:
+        if (prefix, kind) not in cache:
+            cfg = short_config(prefix)
+            got = cache[prefix, kind] = {}
             for seed in SEEDS:
-                out = tmp_path_factory.mktemp(f"{kind}-seed{seed}")
-                cache[kind].update(run_digests(cfg, kind, seed, out))
-        return cache[kind]
+                out = tmp_path_factory.mktemp(f"{prefix.rstrip('/')}{kind}-seed{seed}")
+                got.update(run_digests(cfg, kind, seed, out, prefix))
+        return cache[prefix, kind]
 
     return get
 
 
-@pytest.mark.parametrize("kind", SCHEME_KINDS)
-def test_steps_csv_matches_golden_digest(kind, runs):
+def check(runs, kind: str, prefix: str, suffix: str, name: str) -> None:
     digests = recorded()
     if not digests:
         pytest.skip(f"no golden digests recorded for numpy {np.__version__}")
-    got = runs(kind)
+    got = runs(kind, prefix)
     for seed in SEEDS:
-        key = f"{kind}/seed{seed}"
-        assert got[key] == digests[key], f"{kind} seed {seed}: steps.csv changed"
+        key = f"{prefix}{kind}/seed{seed}{suffix}"
+        assert got[key] == digests[key], f"{prefix}{kind} seed {seed}: {name} changed"
+
+
+@pytest.mark.parametrize("kind", SCHEME_KINDS)
+def test_steps_csv_matches_golden_digest(kind, runs):
+    check(runs, kind, "", "", "steps.csv")
 
 
 @pytest.mark.parametrize("kind", SCHEME_KINDS)
 def test_summary_json_matches_golden_digest(kind, runs):
-    digests = recorded()
-    if not digests:
-        pytest.skip(f"no golden digests recorded for numpy {np.__version__}")
-    got = runs(kind)
-    for seed in SEEDS:
-        key = f"{kind}/seed{seed}/summary.json"
-        assert got[key] == digests[key], f"{kind} seed {seed}: summary.json changed"
+    check(runs, kind, "", "/summary.json", "summary.json")
+
+
+@pytest.mark.parametrize("kind", GRID_KINDS)
+def test_grid_steps_csv_matches_golden_digest(kind, runs):
+    check(runs, kind, GRID, "", "steps.csv")
+
+
+@pytest.mark.parametrize("kind", GRID_KINDS)
+def test_grid_summary_json_matches_golden_digest(kind, runs):
+    check(runs, kind, GRID, "/summary.json", "summary.json")
 
 
 def record(tmp: Path) -> None:
-    cfg = short_config()
     all_digests = json.loads(DIGESTS_PATH.read_text()) if DIGESTS_PATH.exists() else {}
     version = {}
-    for kind in SCHEME_KINDS:
-        for seed in SEEDS:
-            version.update(run_digests(cfg, kind, seed, tmp / kind / f"seed{seed}"))
+    for prefix, kinds in (("", SCHEME_KINDS), (GRID, GRID_KINDS)):
+        cfg = short_config(prefix)
+        for kind in kinds:
+            for seed in SEEDS:
+                out = tmp / f"{prefix}{kind}" / f"seed{seed}"
+                version.update(run_digests(cfg, kind, seed, out, prefix))
     all_digests[np.__version__] = version
     DIGESTS_PATH.write_text(json.dumps(all_digests, indent=2, sort_keys=True) + "\n")
 
