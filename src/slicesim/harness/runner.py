@@ -111,7 +111,7 @@ def run_single(cfg: ExperimentConfig, kind: str, seed: int, out_dir) -> dict:
                 controller.record(state, proposals, nxt)
             diag = controller.train(step) if phase == "train" and controller.trains else None
 
-            mask[step] = [m.value(nxt.t) for m in sc.masks]
+            mask[step] = nxt.mask
             eta = resource_efficiency(nxt, alloc, sc.topology)
             eta_mean[step] = np.mean(eta)
             served[step] = (nxt.throughput * nxt.users).sum(axis=0)
@@ -170,7 +170,8 @@ def run_single(cfg: ExperimentConfig, kind: str, seed: int, out_dir) -> dict:
         summary["penalty_mean_last_1000_train"] = None
         summary["steps_to_90pct_train_reward"] = None
     for j in range(n):
-        corr = mask_correlation(share[ev, j], mask[ev, j]) if plan.eval else float("nan")
+        # a correlation needs two points; with fewer it is missing
+        corr = mask_correlation(share[ev, j], mask[ev, j]) if plan.eval >= 2 else float("nan")
         summary[f"mask_correlation_s{j + 1}"] = _json_safe(corr)
     summary["runtime_s"] = round(time.perf_counter() - t_start, 3)
     summary["steps_csv"] = str(csv_path)

@@ -88,31 +88,28 @@ def extract_message(net: NetState, topology: Topology, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def reward_local(net: NetState, spec: RewardSpec, k: int) -> float:
-    """Bottleneck service score of cell k, in [0, 1].
+def reward_cells(net: NetState, spec: RewardSpec) -> np.ndarray:
+    """Bottleneck service score of every cell, a (K,) array in [0, 1].
 
     Per active slice the score is min(throughput ratio, delay ratio, 1);
-    the cell score is the worst slice. Idle slices (no users) are skipped;
+    a cell's score is its worst slice. Idle slices (no users) are skipped;
     a fully idle cell scores 1 so it never drags a global min down.
     """
-    worst = 1.0
-    any_active = False
-    for n in range(net.slice_count):
-        if net.users[k, n] == 0:
-            continue
-        any_active = True
-        term = net.throughput[k, n] / spec.throughput_req[n]
-        if spec.uses_delay:
-            term = min(term, spec.delay_req[n] / net.delay[k, n])
-        worst = min(worst, term)
-    if not any_active:
-        return 1.0
-    return float(min(worst, 1.0))
+    terms = net.throughput / np.asarray(spec.throughput_req)
+    if spec.uses_delay:
+        terms = np.minimum(terms, np.asarray(spec.delay_req) / net.delay)
+    terms[net.users == 0] = np.inf
+    return np.minimum(terms.min(axis=1), 1.0)
+
+
+def reward_local(net: NetState, spec: RewardSpec, k: int) -> float:
+    """Cell k's entry of :func:`reward_cells`."""
+    return float(reward_cells(net, spec)[k])
 
 
 def reward_global(net: NetState, spec: RewardSpec) -> float:
-    """Network-wide score: the worst cell's local score."""
-    return min(reward_local(net, spec, k) for k in range(net.cell_count))
+    """Network-wide score: the worst cell's score."""
+    return float(reward_cells(net, spec).min())
 
 
 def penalty_gaps(proposal: np.ndarray) -> np.ndarray:

@@ -196,7 +196,9 @@ class NetState:
 
     ``throughput`` is the average per-user served rate (bit/s), ``delay`` the
     per-slice packet delay (s), ``load`` the fraction of the slice's
-    allocated capacity in use, ``users`` the active-user count.
+    allocated capacity in use, ``users`` the active-user count. ``mask``
+    holds each slice's traffic-mask value at ``t``, evaluated once by the
+    environment that made the state.
     """
 
     throughput: np.ndarray  # (K, N)
@@ -205,6 +207,7 @@ class NetState:
     users: np.ndarray  # (K, N) int
     t: int
     fp_converged: bool = True
+    mask: tuple[float, ...] = ()
 
     @property
     def cell_count(self) -> int:
@@ -262,15 +265,14 @@ def walk_users(rng: np.random.Generator, topology: Topology, positions: np.ndarr
     Each user stays in its cell with probability ``p_stay``, otherwise moves
     to a uniformly random neighbour. Users in a cell without neighbours stay.
     """
-    new_pos = positions.copy()
-    flat = new_pos.ravel()
+    table, degree = _neighbor_table(topology)
+    flat = positions.ravel()
     move = rng.random(flat.shape[0]) >= p_stay
     draws = rng.random(flat.shape[0])  # drawn unconditionally to keep the stream aligned
-    for i in np.nonzero(move)[0]:
-        nbrs = topology.neighbors[flat[i]]
-        if nbrs:
-            flat[i] = nbrs[int(draws[i] * len(nbrs))]
-    return new_pos
+    # truncation of the non-negative product picks neighbour floor(draw * degree);
+    # a cell without neighbours has only itself in its row
+    pick = (draws * degree[flat]).astype(np.int64)
+    return np.where(move, table[flat, pick], flat).reshape(positions.shape)
 
 
 def count_active_users(positions: np.ndarray, targets: list[int], cell_count: int) -> np.ndarray:
@@ -296,39 +298,65 @@ def _adjacency(topology: Topology) -> np.ndarray:
     return a
 
 
+@lru_cache(maxsize=16)
+def _neighbor_table(topology: Topology) -> tuple[np.ndarray, np.ndarray]:
+    """(K, max degree) neighbour table, each row padded with its own cell,
+    and the (K,) degree vector."""
+    degree = np.array([len(nbrs) for nbrs in topology.neighbors], dtype=np.int64)
+    table = np.tile(np.arange(topology.cell_count, dtype=np.int64)[:, None],
+                    (1, max(1, int(degree.max()))))
+    for k, nbrs in enumerate(topology.neighbors):
+        table[k, : len(nbrs)] = nbrs
+    return table, degree
+
+
+def _capacity(adjacency: np.ndarray, coupling: float, peak: np.ndarray, loads: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """``peak`` capacity shrunk by the neighbours' total load."""
+    denom = 1.0 + coupling * (adjacency @ loads.sum(axis=1))
+    return np.divide(peak, denom[:, None], out=out)
+
+
+def _peak_capacity(topology: Topology, allocation: np.ndarray) -> np.ndarray:
+    return allocation[:, 1:] * topology.bandwidth_hz * topology.se_max
+
+
 def effective_capacity(topology: Topology, allocation: np.ndarray,
                        loads: np.ndarray) -> np.ndarray:
     """Per-(cell, slice) capacity under the given neighbour loads (bit/s)."""
-    interference = _adjacency(topology) @ loads.sum(axis=1)
-    denom = 1.0 + topology.coupling * interference
-    return allocation[:, 1:] * topology.bandwidth_hz * topology.se_max / denom[:, None]
-
-
-def _load_map(topology: Topology, allocation: np.ndarray, offered: np.ndarray,
-              loads: np.ndarray) -> np.ndarray:
-    cap = effective_capacity(topology, allocation, loads)
-    out = np.zeros_like(offered)
-    pos = offered > 0
-    served_pos = pos & (cap > 0)
-    out[served_pos] = np.minimum(1.0, offered[served_pos] / cap[served_pos])
-    out[pos & (cap <= 0)] = 1.0
-    return out
+    return _capacity(_adjacency(topology), topology.coupling,
+                     _peak_capacity(topology, allocation), loads)
 
 
 def solve_coupled_loads(topology: Topology, allocation: np.ndarray, offered: np.ndarray,
                         tol: float = 1e-6, max_iter: int = 1000) -> tuple[np.ndarray, bool, int]:
     """Fixed point of the coupled load map, iterated from all-zero loads.
 
-    Returns (loads, converged, iterations). The map is monotone, so from
-    l = 0 the iterates increase towards the least fixed point; if the
-    max-norm change stays above ``tol`` after ``max_iter`` rounds the last
-    iterate is returned with converged=False.
+    Each round maps every entry with traffic to min(1, offered / capacity),
+    or to 1 where its capacity is not positive, and every entry without
+    traffic to 0. Returns (loads, converged, iterations). The map is
+    monotone, so from l = 0 the iterates increase towards the least fixed
+    point; if the max-norm change stays above ``tol`` after ``max_iter``
+    rounds the last iterate is returned with converged=False.
     """
+    adjacency = _adjacency(topology)
+    peak = _peak_capacity(topology, allocation)
+    pos = offered > 0
+    # every round starts from 1 where there is traffic and 0 elsewhere; the
+    # divide then overwrites the entries with traffic and positive capacity
+    saturated = pos.astype(float)
     loads = np.zeros_like(offered, dtype=float)
+    nxt, cap, diff = (np.empty_like(loads) for _ in range(3))
+    served = np.empty_like(pos)
     for it in range(1, max_iter + 1):
-        nxt = _load_map(topology, allocation, offered, loads)
-        delta = np.max(np.abs(nxt - loads)) if loads.size else 0.0
-        loads = nxt
+        _capacity(adjacency, topology.coupling, peak, loads, out=cap)
+        np.logical_and(pos, cap > 0, out=served)
+        np.copyto(nxt, saturated)
+        np.divide(offered, cap, out=nxt, where=served)
+        np.minimum(nxt, 1.0, out=nxt)
+        np.subtract(nxt, loads, out=diff)
+        delta = np.abs(diff, out=diff).max() if diff.size else 0.0
+        loads, nxt = nxt, loads
         if delta <= tol:
             return loads, True, it
     return loads, False, max_iter
@@ -409,13 +437,12 @@ class SliceEnv:
         self._positions: np.ndarray | None = None
         self.t = 0
 
-    def _mask_values(self, t: int) -> list[float]:
-        return [m.value(t) for m in self.scenario.masks]
+    def _mask_values(self, t: int) -> tuple[float, ...]:
+        return tuple(m.value(t) for m in self.scenario.masks)
 
-    def _user_dist(self, t: int) -> UserDistribution:
+    def _user_dist(self, mask: tuple[float, ...]) -> UserDistribution:
         sc = self.scenario
-        targets = [active_user_target(g, v)
-                   for g, v in zip(sc.group_size_max, self._mask_values(t))]
+        targets = [active_user_target(g, v) for g, v in zip(sc.group_size_max, mask)]
         counts = count_active_users(self._positions, targets, sc.cell_count)
         return UserDistribution(counts=counts, group_size_max=sc.group_size_max)
 
@@ -425,10 +452,11 @@ class SliceEnv:
         self.t = 0
         self._positions = self._rng.integers(
             0, sc.cell_count, size=(sc.slice_count, max(sc.group_size_max)))
-        dist = self._user_dist(0)
+        mask = self._mask_values(0)
+        dist = self._user_dist(mask)
         shape = (sc.cell_count, sc.slice_count)
         return NetState(throughput=np.zeros(shape), delay=np.full(shape, sc.delay_base_s),
-                        load=np.zeros(shape), users=dist.counts, t=0)
+                        load=np.zeros(shape), users=dist.counts, t=0, mask=mask)
 
     def step(self, allocation: np.ndarray) -> NetState:
         """Advance one step under ``allocation`` and return the new KPIs.
@@ -442,9 +470,12 @@ class SliceEnv:
         alloc = validate_allocation(allocation, sc.cell_count, sc.slice_count)
         self.t += 1
         self._positions = walk_users(self._rng, sc.topology, self._positions, sc.p_stay)
-        dist = self._user_dist(self.t)
+        mask = self._mask_values(self.t)
+        dist = self._user_dist(mask)
         offered = offered_traffic(dist, sc.slices)
         loads, converged, _ = solve_coupled_loads(
             sc.topology, alloc, offered, tol=sc.fp_tol, max_iter=sc.fp_max_iter)
-        return compute_kpis(sc.topology, alloc, offered, loads, dist, self.t,
-                            sc.delay_base_s, sc.load_cap, fp_converged=converged)
+        state = compute_kpis(sc.topology, alloc, offered, loads, dist, self.t,
+                             sc.delay_base_s, sc.load_cap, fp_converged=converged)
+        state.mask = mask
+        return state

@@ -18,7 +18,7 @@ from slicesim.harness.metrics import (mask_correlation, resource_efficiency, smo
                                       steps_to_fraction_of_final)
 from slicesim.harness.runner import csv_header, run_experiment, run_single
 from slicesim.mdp import RewardSpec
-from slicesim.netsim import ConfigError, NetState, Topology
+from slicesim.netsim import ConfigError, NetState, Topology, TrafficMask
 from slicesim.schemes import BaselineController, build_scheme
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -413,6 +413,32 @@ def test_failed_run_leaves_no_steps_csv_or_summary(tmp_path, monkeypatch):
     assert not (tmp_path / "summary.json").exists()
     # the rows written before the failure stay in the partial file
     assert len((tmp_path / "steps.csv.partial").read_text().splitlines()) == 1 + 5
+
+
+def test_one_eval_step_run_writes_results_without_correlation(tmp_path):
+    cfg = parse_config(tiny_config_data(phases=(5, 6, 1), kind="baseline"))
+    summary = run_single(cfg, "baseline", 0, tmp_path)
+    assert len((tmp_path / "steps.csv").read_text().splitlines()) == 1 + 12
+    assert not (tmp_path / "steps.csv.partial").exists()
+    written = json.loads((tmp_path / "summary.json").read_text())
+    for j in (1, 2):
+        assert summary[f"mask_correlation_s{j}"] is None
+        assert written[f"mask_correlation_s{j}"] is None
+
+
+def test_run_evaluates_each_mask_once_per_state(tmp_path, monkeypatch):
+    cfg = parse_config(tiny_config_data(phases=(5, 6, 4), kind="baseline"))
+    calls = []
+    value = TrafficMask.value
+
+    def counting(self, t):
+        calls.append(t)
+        return value(self, t)
+
+    monkeypatch.setattr(TrafficMask, "value", counting)
+    run_single(cfg, "baseline", 0, tmp_path)
+    # the reset state and one state per step, once for each slice's mask
+    assert len(calls) == cfg.scenario.slice_count * (cfg.phases.total + 1)
 
 
 def test_static_scheme_writes_no_checkpoint(tmp_path):

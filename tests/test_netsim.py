@@ -463,6 +463,19 @@ def test_env_mask_evaluated_after_time_advances():
     assert st1.users.sum() == 6  # mask value 1 at t=1
 
 
+def test_env_state_carries_the_mask_values_of_its_time():
+    topo = Topology.grid(6, B20, 0.2, 2.0)
+    masks = (TrafficMask(((0.0, 0.2), (7.0, 1.0)), period=13.0),
+             TrafficMask(((2.0, 1.0), (9.0, 0.0)), period=11.0))
+    sc = make_scenario(topo, lam_ue=(3e6, 2e6), groups=(12, 12), masks=masks)
+    env = SliceEnv(sc, 4)
+    states = [env.reset()]
+    alloc = np.full((6, 3), 1.0 / 3.0)
+    states += [env.step(alloc) for _ in range(30)]
+    for st in states:
+        assert st.mask == tuple(m.value(st.t) for m in masks)
+
+
 def test_env_monotone_allocation_sweep():
     # single cell, static demand of 30 Mbit/s against 40 Mbit/s full capacity:
     # served traffic climbs with the slice share until the slice is uncongested

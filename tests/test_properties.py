@@ -1,5 +1,7 @@
 """Property tests for the core invariants: the action simplex, traffic-mask
-evaluation and monotonicity of the coupled-load fixed point.
+evaluation and monotonicity of the coupled-load fixed point; and exactness
+tests of the whole-array environment step and rewards against the
+per-element loops they replaced, kept here as literal references.
 
 ``derandomize=True`` makes hypothesis draw the same cases on every run, so
 the suite stays deterministic and its cost fixed.
@@ -10,8 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from slicesim.mdp import project_or_reject
-from slicesim.netsim import SIMPLEX_ATOL, TOPOLOGY_BUILDERS, TrafficMask, solve_coupled_loads
+from slicesim.mdp import RewardSpec, project_or_reject, reward_cells, reward_global, reward_local
+from slicesim.netsim import (
+    SIMPLEX_ATOL,
+    TOPOLOGY_BUILDERS,
+    NetState,
+    TrafficMask,
+    solve_coupled_loads,
+    walk_users,
+)
 
 PROPERTY = settings(max_examples=60, derandomize=True, deadline=None)
 
@@ -80,3 +89,127 @@ def test_loads_never_fall_as_offered_traffic_rises(kind, cells, slices, coupling
     after, ok_after, _ = solve_coupled_loads(topo, alloc, raised, tol=1e-12, max_iter=20000)
     assert ok_base and ok_after
     assert np.all(after >= base - 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# whole-array code against the loops it replaced
+# ---------------------------------------------------------------------------
+
+topologies = st.builds(lambda kind, cells, coupling: TOPOLOGY_BUILDERS[kind](cells, 20e6, coupling, 2.0),
+                       st.sampled_from(["ring", "grid", "full"]), st.integers(1, 9),
+                       st.floats(0.0, 1.0))
+
+
+def reference_walk_users(rng, topology, positions, p_stay):
+    """The per-user loop ``walk_users`` replaced."""
+    new_pos = positions.copy()
+    flat = new_pos.ravel()
+    move = rng.random(flat.shape[0]) >= p_stay
+    draws = rng.random(flat.shape[0])  # drawn unconditionally to keep the stream aligned
+    for i in np.nonzero(move)[0]:
+        nbrs = topology.neighbors[flat[i]]
+        if nbrs:
+            flat[i] = nbrs[int(draws[i] * len(nbrs))]
+    return new_pos
+
+
+@PROPERTY
+@given(topologies, st.integers(1, 3), st.integers(1, 40),
+       st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), st.integers(0, 2 ** 32),
+       st.data())
+def test_walk_users_matches_the_per_user_loop(topo, slices, users, p_stay, seed, data):
+    positions = data.draw(hnp.arrays(np.int64, (slices, users),
+                                     elements=st.integers(0, topo.cell_count - 1)))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = walk_users(rng, topo, positions, p_stay)
+    want = reference_walk_users(ref_rng, topo, positions, p_stay)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert rng.random() == ref_rng.random()  # both consumed the same draws
+
+
+def reference_solve(topology, allocation, offered, tol, max_iter):
+    """The ``_load_map`` iteration ``solve_coupled_loads`` replaced."""
+    adjacency = np.zeros((topology.cell_count, topology.cell_count))
+    for k, nbrs in enumerate(topology.neighbors):
+        adjacency[k, list(nbrs)] = 1.0
+
+    def effective_capacity(loads):
+        interference = adjacency @ loads.sum(axis=1)
+        denom = 1.0 + topology.coupling * interference
+        return allocation[:, 1:] * topology.bandwidth_hz * topology.se_max / denom[:, None]
+
+    def load_map(loads):
+        cap = effective_capacity(loads)
+        out = np.zeros_like(offered)
+        pos = offered > 0
+        served_pos = pos & (cap > 0)
+        out[served_pos] = np.minimum(1.0, offered[served_pos] / cap[served_pos])
+        out[pos & (cap <= 0)] = 1.0
+        return out
+
+    loads = np.zeros_like(offered, dtype=float)
+    for it in range(1, max_iter + 1):
+        nxt = load_map(loads)
+        delta = np.max(np.abs(nxt - loads)) if loads.size else 0.0
+        loads = nxt
+        if delta <= tol:
+            return loads, True, it
+    return loads, False, max_iter
+
+
+@PROPERTY
+@given(topologies, st.integers(1, 3), st.sampled_from([1e-6, 1e-12, 0.0]), st.integers(1, 12),
+       st.data())
+def test_solve_coupled_loads_matches_the_load_map_loop(topo, slices, tol, max_iter, data):
+    k = topo.cell_count
+    # zero slice shares give zero capacity; zero entries give no traffic
+    share = data.draw(hnp.arrays(float, (k, slices),
+                                 elements=st.one_of(st.just(0.0), st.floats(0.01, 1.0))))
+    headroom = data.draw(hnp.arrays(float, (k, 1), elements=st.floats(0.01, 1.0)))
+    raw = np.concatenate([headroom, share], axis=1)
+    alloc = raw / raw.sum(axis=1, keepdims=True)
+    offered = data.draw(hnp.arrays(float, (k, slices),
+                                   elements=st.one_of(st.just(0.0), st.floats(0.0, 40e6))))
+    # one round is a cut-off for every instance with traffic
+    for cut in (1, max_iter):
+        loads, converged, iterations = solve_coupled_loads(topo, alloc, offered, tol, cut)
+        ref_loads, ref_converged, ref_iterations = reference_solve(topo, alloc, offered, tol, cut)
+        assert loads.tobytes() == ref_loads.tobytes()
+        assert (converged, iterations) == (ref_converged, ref_iterations)
+
+
+def reference_reward_local(net, spec, k):
+    """The per-slice loop ``reward_cells`` replaced."""
+    worst = 1.0
+    any_active = False
+    for n in range(net.slice_count):
+        if net.users[k, n] == 0:
+            continue
+        any_active = True
+        term = net.throughput[k, n] / spec.throughput_req[n]
+        if spec.uses_delay:
+            term = min(term, spec.delay_req[n] / net.delay[k, n])
+        worst = min(worst, term)
+    if not any_active:
+        return 1.0
+    return float(min(worst, 1.0))
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.integers(1, 3), st.sampled_from(["plain", "delay_aware"]),
+       st.data())
+def test_rewards_match_the_per_slice_loop(cells, slices, variant, data):
+    shape = (cells, slices)
+    # few users per entry, so idle slices and fully idle cells are common
+    users = data.draw(hnp.arrays(np.int64, shape, elements=st.integers(0, 2)))
+    net = NetState(throughput=data.draw(hnp.arrays(float, shape, elements=st.floats(0.0, 12e6))),
+                   delay=data.draw(hnp.arrays(float, shape, elements=st.floats(1e-5, 5e-3))),
+                   load=np.zeros(shape), users=users, t=1)
+    req = tuple(data.draw(st.lists(st.floats(1e5, 1e7), min_size=slices, max_size=slices)))
+    delay_req = tuple(data.draw(st.lists(st.floats(1e-4, 2e-3), min_size=slices, max_size=slices)))
+    spec = RewardSpec(variant, req, delay_req)
+    want = [reference_reward_local(net, spec, k) for k in range(cells)]
+    assert reward_cells(net, spec).tolist() == want
+    assert [reward_local(net, spec, k) for k in range(cells)] == want
+    assert reward_global(net, spec) == min(reward_local(net, spec, k) for k in range(cells))
