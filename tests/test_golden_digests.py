@@ -5,12 +5,12 @@ Runs the reference scenario for 30/120/30 explore/train/eval steps under
 seeds 0 and 1, for all six schemes, and compares each ``steps.csv`` with a
 digest recorded before the batched learner replaced the per-agent one, and
 each ``summary.json`` with a digest recorded before the runner kept its
-per-step values in arrays. The two heuristic schemes also run on a 12-cell
-grid (cells of two, three and four neighbours, where every ring cell has
-two), with both digests recorded before the environment step was
-vectorised; their keys start with ``grid12/``. The summary digest covers the summary's values
-without ``runtime_s`` (wall clock) and the two file paths, serialized as
-canonical JSON. Digests depend on numpy's floating-point kernels, so they
+per-step values in arrays. The two heuristic schemes also run on a
+12-cell grid (cells of two, three and four neighbours, where every ring
+cell has two), with both digests recorded before the environment step was
+vectorised; their keys start with ``grid12/``. The summary digest covers
+the summary's values without ``runtime_s`` (wall clock) and the two file
+paths, serialized as canonical JSON. Digests depend on numpy's floating-point kernels, so they
 are keyed by numpy version; with no entry for the running numpy the tests
 skip and say so.
 
@@ -88,34 +88,36 @@ def runs(tmp_path_factory):
     return get
 
 
-def check(runs, kind: str, prefix: str, suffix: str, name: str) -> None:
+def check(runs, kind: str, prefix: str, suffix: str) -> None:
+    """Compare the digests of ``kind``'s runs whose keys end in ``suffix``."""
     digests = recorded()
     if not digests:
         pytest.skip(f"no golden digests recorded for numpy {np.__version__}")
     got = runs(kind, prefix)
     for seed in SEEDS:
         key = f"{prefix}{kind}/seed{seed}{suffix}"
+        name = suffix.lstrip("/") or "steps.csv"
         assert got[key] == digests[key], f"{prefix}{kind} seed {seed}: {name} changed"
 
 
 @pytest.mark.parametrize("kind", SCHEME_KINDS)
 def test_steps_csv_matches_golden_digest(kind, runs):
-    check(runs, kind, "", "", "steps.csv")
+    check(runs, kind, "", "")
 
 
 @pytest.mark.parametrize("kind", SCHEME_KINDS)
 def test_summary_json_matches_golden_digest(kind, runs):
-    check(runs, kind, "", "/summary.json", "summary.json")
+    check(runs, kind, "", "/summary.json")
 
 
 @pytest.mark.parametrize("kind", GRID_KINDS)
 def test_grid_steps_csv_matches_golden_digest(kind, runs):
-    check(runs, kind, GRID, "", "steps.csv")
+    check(runs, kind, GRID, "")
 
 
 @pytest.mark.parametrize("kind", GRID_KINDS)
 def test_grid_summary_json_matches_golden_digest(kind, runs):
-    check(runs, kind, GRID, "/summary.json", "summary.json")
+    check(runs, kind, GRID, "/summary.json")
 
 
 def record(tmp: Path) -> None:
