@@ -5,10 +5,13 @@ Runs the reference scenario for 30/120/30 explore/train/eval steps under
 seeds 0 and 1, for all six schemes, and compares each ``steps.csv`` with a
 digest recorded before the batched learner replaced the per-agent one, and
 each ``summary.json`` with a digest recorded before the runner kept its
-per-step values in arrays. The two heuristic schemes also run on a
-12-cell grid (cells of two, three and four neighbours, where every ring
-cell has two), with both digests recorded before the environment step was
-vectorised; their keys start with ``grid12/``. The summary digest covers
+per-step values in arrays. The two heuristic schemes and the two per-cell
+learners also run on a 12-cell grid (cells of two, three and four
+neighbours, where every ring cell has two, so ``dist_comm``'s neighbour
+message averages over all three degrees); their keys start with
+``grid12/``. The heuristics' digests were recorded before the environment
+step was vectorised, the learners' before the observations and rewards
+became whole-array functions. The summary digest covers
 the summary's values without ``runtime_s`` (wall clock) and the two file
 paths, serialized as canonical JSON. Digests depend on numpy's floating-point kernels, so they
 are keyed by numpy version; with no entry for the running numpy the tests
@@ -36,7 +39,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DIGESTS_PATH = Path(__file__).resolve().parent / "golden_digests.json"
 PHASES = {"explore": 30, "train": 120, "eval": 30}
 SEEDS = (0, 1)
-GRID_KINDS = ("baseline", "static_default")
+GRID_KINDS = ("baseline", "static_default", "dist", "dist_comm")
 GRID = "grid12/"
 # summary fields that name paths or hold wall-clock time
 UNSTABLE_SUMMARY_KEYS = ("runtime_s", "steps_csv", "checkpoint")
