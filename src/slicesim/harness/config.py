@@ -81,13 +81,17 @@ def _number(section: dict, key: str, path: str, default=None, minimum=None, maxi
         if default is None:
             raise ConfigError(f"{path}.{key}: missing required field")
         return default
-    v = section[key]
+    return _checked_number(section[key], f"{path}.{key}", minimum, maximum)
+
+
+def _checked_number(v, path: str, minimum=None, maximum=None):
+    """``v`` if it is a number (not a boolean) within the bounds."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {type(v).__name__}")
+        raise ConfigError(f"{path}: expected a number, got {type(v).__name__}")
     if minimum is not None and v < minimum:
-        raise ConfigError(f"{path}.{key}: must be >= {minimum}")
+        raise ConfigError(f"{path}: must be >= {minimum}")
     if maximum is not None and v > maximum:
-        raise ConfigError(f"{path}.{key}: must be <= {maximum}")
+        raise ConfigError(f"{path}: must be <= {maximum}")
     return v
 
 
@@ -116,9 +120,10 @@ def parse_mask(obj, path: str) -> TrafficMask:
         raise ConfigError(f"{path}.breakpoints: expected a non-empty list")
     out = []
     for i, bp in enumerate(pts):
+        bp_path = f"{path}.breakpoints[{i}]"
         if not isinstance(bp, list) or len(bp) != 2:
-            raise ConfigError(f"{path}.breakpoints[{i}]: expected a [time, value] pair")
-        out.append((float(bp[0]), float(bp[1])))
+            raise ConfigError(f"{bp_path}: expected a [time, value] pair")
+        out.append(tuple(float(_checked_number(x, f"{bp_path}[{j}]")) for j, x in enumerate(bp)))
     try:
         return TrafficMask(tuple(out), period=float(period))
     except ConfigError as e:
@@ -247,7 +252,8 @@ def parse_config(data: dict) -> ExperimentConfig:
         if not isinstance(static, list) or len(static) != scenario.slice_count + 1:
             raise ConfigError("scheme.static_allocation: expected one entry per slice "
                               "plus headroom")
-        static = tuple(float(x) for x in static)
+        static = tuple(float(_checked_number(x, f"scheme.static_allocation[{i}]"))
+                       for i, x in enumerate(static))
 
     hyper = parse_hyper(data.get("agent"))
 
@@ -259,9 +265,11 @@ def parse_config(data: dict) -> ExperimentConfig:
     seeds = data.get("seeds", [0])
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError("seeds: expected a non-empty list of integers")
-    for s in seeds:
+    for i, s in enumerate(seeds):
         if isinstance(s, bool) or not isinstance(s, int):
             raise ConfigError("seeds: expected a non-empty list of integers")
+        if s < 0:
+            raise ConfigError(f"seeds[{i}]: must be >= 0")
 
     output_section = _check_section(data.get("output", {}), "output", ("dir",))
     out_dir = str(output_section.get("dir", "runs"))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netsim import SIMPLEX_ATOL, ConstraintViolationError, NetState, Topology
+from .netsim import SIMPLEX_ATOL, ConstraintViolationError, NetState, Topology, neighbor_table
 
 REWARD_VARIANTS = ("plain", "delay_aware")
 
@@ -60,27 +60,31 @@ class RewardSpec:
 # ---------------------------------------------------------------------------
 
 
-def local_state(net: NetState, k: int, scaling: StateScaling) -> np.ndarray:
-    """Observation of cell k: [throughput ratios, loads, user fractions]."""
-    phi = np.minimum(net.throughput[k] / np.asarray(scaling.throughput_req), 1.0)
-    users = net.users[k] / np.asarray(scaling.group_size_max, dtype=float)
-    return np.concatenate([phi, net.load[k], users])
+def local_state(net: NetState, scaling: StateScaling) -> np.ndarray:
+    """(K, 3N) observations, one row per cell: [throughput ratios, loads,
+    user fractions]."""
+    phi = np.minimum(net.throughput / np.asarray(scaling.throughput_req), 1.0)
+    users = net.users / np.asarray(scaling.group_size_max, dtype=float)
+    return np.concatenate([phi, net.load, users], axis=1)
 
 
 def global_state(net: NetState, scaling: StateScaling) -> np.ndarray:
     """All local observations concatenated in cell order."""
-    return np.concatenate([local_state(net, k, scaling) for k in range(net.cell_count)])
+    return local_state(net, scaling).ravel()
 
 
-def extract_message(net: NetState, topology: Topology, k: int) -> np.ndarray:
-    """Coordination message for cell k: per-slice mean of neighbour loads.
+def extract_message(net: NetState, topology: Topology) -> np.ndarray:
+    """(K, N) coordination messages: each cell's per-slice mean of its
+    neighbours' loads.
 
+    The sum masks out the neighbour table's padding, so each cell adds its
+    own neighbours' rows in the order a sum over those rows alone would.
     Cells without neighbours get a zero message.
     """
-    nbrs = topology.neighbors[k]
-    if not nbrs:
-        return np.zeros(net.slice_count)
-    return net.load[list(nbrs)].mean(axis=0)
+    table, degree = neighbor_table(topology)
+    real = np.arange(table.shape[1]) < degree[:, None]
+    total = np.add.reduce(net.load[table], axis=1, where=real[:, :, None])
+    return total / np.maximum(degree, 1)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +92,7 @@ def extract_message(net: NetState, topology: Topology, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def reward_cells(net: NetState, spec: RewardSpec) -> np.ndarray:
+def reward_local(net: NetState, spec: RewardSpec) -> np.ndarray:
     """Bottleneck service score of every cell, a (K,) array in [0, 1].
 
     Per active slice the score is min(throughput ratio, delay ratio, 1);
@@ -102,14 +106,9 @@ def reward_cells(net: NetState, spec: RewardSpec) -> np.ndarray:
     return np.minimum(terms.min(axis=1), 1.0)
 
 
-def reward_local(net: NetState, spec: RewardSpec, k: int) -> float:
-    """Cell k's entry of :func:`reward_cells`."""
-    return float(reward_cells(net, spec)[k])
-
-
 def reward_global(net: NetState, spec: RewardSpec) -> float:
     """Network-wide score: the worst cell's score."""
-    return float(reward_cells(net, spec).min())
+    return float(reward_local(net, spec).min())
 
 
 def penalty_gaps(proposal: np.ndarray) -> np.ndarray:

@@ -265,7 +265,7 @@ def walk_users(rng: np.random.Generator, topology: Topology, positions: np.ndarr
     Each user stays in its cell with probability ``p_stay``, otherwise moves
     to a uniformly random neighbour. Users in a cell without neighbours stay.
     """
-    table, degree = _neighbor_table(topology)
+    table, degree = neighbor_table(topology)
     flat = positions.ravel()
     move = rng.random(flat.shape[0]) >= p_stay
     draws = rng.random(flat.shape[0])  # drawn unconditionally to keep the stream aligned
@@ -299,7 +299,7 @@ def _adjacency(topology: Topology) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _neighbor_table(topology: Topology) -> tuple[np.ndarray, np.ndarray]:
+def neighbor_table(topology: Topology) -> tuple[np.ndarray, np.ndarray]:
     """(K, max degree) neighbour table, each row padded with its own cell,
     and the (K,) degree vector."""
     degree = np.array([len(nbrs) for nbrs in topology.neighbors], dtype=np.int64)

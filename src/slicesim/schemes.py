@@ -110,24 +110,17 @@ def baseline_allocation(users: np.ndarray) -> np.ndarray:
     return alloc
 
 
-class _EpsilonSchedule:
-    """Linear anneal from start to end over a fixed number of steps."""
-
-    def __init__(self, start: float, end: float, horizon: int):
-        self.start = start
-        self.end = end
-        self.horizon = max(1, horizon)
-
-    def value(self, step: int) -> float:
-        frac = min(1.0, max(0.0, step / self.horizon))
-        return self.start + (self.end - self.start) * frac
+def annealed_epsilon(step: int, start: float, end: float, horizon: int) -> float:
+    """Linear anneal from start to end over ``horizon`` steps, then end."""
+    frac = min(1.0, max(0.0, step / max(1, horizon)))
+    return start + (end - start) * frac
 
 
 class _LearningController(Controller):
     """Shared plumbing of the TD3 schemes: one (possibly stacked) agent, the
-    epsilon schedule, and a one-entry memo of the last observed state matrix,
-    so each network state is observed once although act and record both
-    need it.
+    horizon of its epsilon anneal, and a one-entry memo of the last observed
+    state matrix, so each network state is observed once although act and
+    record both need it.
 
     Each subclass still defines ``act``, ``record`` and ``train`` itself,
     where the per-class spans of ``benchmarks/spans.py`` look for them.
@@ -138,8 +131,7 @@ class _LearningController(Controller):
     def __init__(self, scenario, rewards, scaling, agent: Td3Agent, anneal_steps: int):
         super().__init__(scenario, rewards, scaling)
         self.agent = agent
-        self._eps = _EpsilonSchedule(agent.hyper.epsilon_start, agent.hyper.epsilon_end,
-                                     anneal_steps)
+        self.anneal_steps = anneal_steps
         self._memo: tuple[NetState, np.ndarray] | None = None
 
     def _observe(self, net: NetState) -> np.ndarray:
@@ -157,7 +149,9 @@ class _LearningController(Controller):
             return self.agent.select_action(states, "explore_random")
         if phase == "eval":
             return self.agent.select_action(states, "eval")
-        return self.agent.select_action(states, "train_noisy", self._eps.value(step))
+        h = self.agent.hyper
+        eps = annealed_epsilon(step, h.epsilon_start, h.epsilon_end, self.anneal_steps)
+        return self.agent.select_action(states, "train_noisy", eps)
 
     def param_count(self):
         return self.agent.param_count()
@@ -222,19 +216,18 @@ class DistributedController(_LearningController):
         self.use_messages = use_messages
 
     def _states(self, net):
-        rows = [local_state(net, k, self.scaling) for k in range(self.scenario.cell_count)]
+        states = local_state(net, self.scaling)
         if self.use_messages:
-            rows = [np.concatenate([s, extract_message(net, self.scenario.topology, k)])
-                    for k, s in enumerate(rows)]
-        return np.stack(rows)
+            message = extract_message(net, self.scenario.topology)
+            states = np.concatenate([states, message], axis=1)
+        return states
 
     def act(self, net, phase, step):
         return self._select(net, phase, step)
 
     def record(self, prev, proposals, net):
-        rewards = [reward_local(net, self.rewards, k) for k in range(self.scenario.cell_count)]
         self.agent.buffer.add(Experience(
-            state=self._observe(prev), proposal=proposals, reward=np.array(rewards),
+            state=self._observe(prev), proposal=proposals, reward=reward_local(net, self.rewards),
             next_state=self._observe(net)))
 
     def train(self, step):

@@ -185,7 +185,6 @@ class Td3Config:
 class TrainDiagnostics:
     """Per-agent values, each (A,); NaN where no update ran."""
 
-    updated: bool
     actor_updated: bool
     critic_loss: np.ndarray
     actor_objective: np.ndarray
@@ -345,7 +344,7 @@ class Td3Agent:
         h = self.hyper
         skipped = np.full(self.members, np.nan)
         if self.buffer.size < h.batch_size:
-            return TrainDiagnostics(False, False, skipped, skipped, skipped)
+            return TrainDiagnostics(False, skipped, skipped, skipped)
         batch = self.buffer.sample(self.rngs, h.batch_size)
         loss, mean_abs_td = self.critic_update(batch)
         actor_obj = skipped
@@ -353,7 +352,7 @@ class Td3Agent:
         if actor_updated:
             actor_obj = self.actor_update(batch)
             self.sync_targets()
-        return TrainDiagnostics(True, actor_updated, loss, actor_obj, mean_abs_td)
+        return TrainDiagnostics(actor_updated, loss, actor_obj, mean_abs_td)
 
     # -- checkpointing ----------------------------------------------------------
 

@@ -185,6 +185,38 @@ def test_empty_seed_list_rejected():
         parse_config(data)
 
 
+def test_negative_seed_rejected():
+    data = tiny_config_data()
+    data["seeds"] = [0, -1]
+    with pytest.raises(ConfigError, match=r"seeds\[1\]: must be >= 0"):
+        parse_config(data)
+
+
+@pytest.mark.parametrize("entry, message", [
+    (None, "expected a number, got NoneType"),
+    ("0.5", "expected a number, got str"),
+    (True, "expected a number, got bool"),
+])
+def test_non_numeric_breakpoint_rejected_with_dotted_path(entry, message):
+    data = tiny_config_data()
+    data["scenario"]["slices"][0]["mask"]["breakpoints"] = [[0.0, 1.0], [250.0, entry]]
+    path = "scenario.slices[0].mask.breakpoints[1][1]"
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
+        parse_config(data)
+
+
+@pytest.mark.parametrize("entry, message", [
+    (None, "expected a number, got NoneType"),
+    ("0.5", "expected a number, got str"),
+    (True, "expected a number, got bool"),
+])
+def test_non_numeric_static_allocation_rejected_with_dotted_path(entry, message):
+    data = tiny_config_data()
+    data["scheme"]["static_allocation"] = [0.0, 0.5, entry]
+    with pytest.raises(ConfigError, match=re.escape(f"scheme.static_allocation[2]: {message}")):
+        parse_config(data)
+
+
 def test_scenario_hash_ignores_key_order_but_not_values():
     section = tiny_config_data()["scenario"]
     reordered = json.loads(json.dumps(section))
@@ -578,6 +610,16 @@ def test_cli_validate_ok(capsys):
     assert main(["validate", "--config", str(CONFIG_DIR / "toy.json")]) == 0
     out = capsys.readouterr().out
     assert "cells=1" in out and "schemes=dist" in out
+
+
+def test_cli_validate_reports_a_null_breakpoint(tmp_path, capsys):
+    data = tiny_config_data()
+    data["scenario"]["slices"][0]["mask"]["breakpoints"] = [[None, 1.0]]
+    cfg_path = tmp_path / "null.json"
+    cfg_path.write_text(json.dumps(data))
+    assert main(["validate", "--config", str(cfg_path)]) == 2
+    assert "scenario.slices[0].mask.breakpoints[0][0]: expected a number" in (
+        capsys.readouterr().err)
 
 
 def test_cli_validate_missing_file(capsys):

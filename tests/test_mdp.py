@@ -40,20 +40,20 @@ def spec(variant="delay_aware", **kw):
 
 def test_local_state_zero_net_is_zero_vector():
     net = make_net(np.zeros((2, 2)), np.full((2, 2), 5e-4), np.zeros((2, 2)), np.zeros((2, 2)))
-    s = local_state(net, 0, SCALING)
-    assert s.shape == (6,)
+    s = local_state(net, SCALING)
+    assert s.shape == (2, 6)
     assert np.all(s == 0.0)
 
 
 def test_local_state_ordering_and_scaling():
     net = make_net([[2.5e6, 3e6]], [[1e-3, 1e-3]], [[0.25, 0.75]], [[4, 8]])
-    s = local_state(net, 0, SCALING)
+    s = local_state(net, SCALING)[0]
     assert s == pytest.approx([0.5, 1.0, 0.25, 0.75, 0.5, 1.0])
 
 
 def test_local_state_caps_throughput_ratio():
     net = make_net([[10e6, 9e6]], [[1e-3, 1e-3]], [[0.1, 0.1]], [[1, 1]])
-    s = local_state(net, 0, SCALING)
+    s = local_state(net, SCALING)[0]
     assert s[0] == 1.0 and s[1] == 1.0
 
 
@@ -61,7 +61,7 @@ def test_local_state_ignores_other_cells():
     phi = np.array([[2.5e6, 1e6], [4e6, 2e6]])
     net_a = make_net(phi, np.full((2, 2), 1e-3), np.full((2, 2), 0.3), np.full((2, 2), 2))
     net_b = make_net(phi[::-1], np.full((2, 2), 1e-3), np.full((2, 2), 0.3), np.full((2, 2), 2))
-    assert np.array_equal(local_state(net_a, 0, SCALING), local_state(net_b, 1, SCALING))
+    assert np.array_equal(local_state(net_a, SCALING)[0], local_state(net_b, SCALING)[1])
 
 
 def test_global_state_is_concatenation():
@@ -70,8 +70,7 @@ def test_global_state_is_concatenation():
                    rng.random((3, 2)), rng.integers(0, 8, (3, 2)))
     g = global_state(net, SCALING)
     assert g.shape == (18,)
-    parts = [local_state(net, k, SCALING) for k in range(3)]
-    assert np.array_equal(g, np.concatenate(parts))
+    assert np.array_equal(g, np.concatenate(list(local_state(net, SCALING))))
 
 
 # ---------------------------------------------------------------------------
@@ -88,28 +87,28 @@ def msg_net(load):
 def test_message_is_neighbor_mean():
     topo = Topology.ring(3, 20e6, 0.5, 2.0)
     net = msg_net([[0.0, 0.0], [0.4, 0.1], [0.6, 0.3]])
-    c = extract_message(net, topo, 0)  # neighbours are cells 1 and 2
+    c = extract_message(net, topo)[0]  # neighbours are cells 1 and 2
     assert c == pytest.approx([0.5, 0.2])
 
 
 def test_message_single_neighbor_verbatim():
     topo = Topology.ring(2, 20e6, 0.5, 2.0)
     net = msg_net([[0.9, 0.2], [0.3, 0.7]])
-    assert extract_message(net, topo, 0) == pytest.approx([0.3, 0.7])
+    assert extract_message(net, topo)[0] == pytest.approx([0.3, 0.7])
 
 
 def test_message_empty_neighborhood_is_zero():
     topo = Topology.ring(1, 20e6, 0.5, 2.0)
     net = msg_net([[0.5, 0.5]])
-    assert np.array_equal(extract_message(net, topo, 0), np.zeros(2))
+    assert np.array_equal(extract_message(net, topo)[0], np.zeros(2))
 
 
 def test_message_neighbor_order_invariant():
     base = ((1, 2), (0, 2), (0, 1))
     flipped = ((2, 1), (0, 2), (0, 1))
     net = msg_net([[0.0, 0.0], [0.4, 0.1], [0.6, 0.3]])
-    a = extract_message(net, Topology(3, base, 20e6, 0.5, 2.0), 0)
-    b = extract_message(net, Topology(3, flipped, 20e6, 0.5, 2.0), 0)
+    a = extract_message(net, Topology(3, base, 20e6, 0.5, 2.0))[0]
+    b = extract_message(net, Topology(3, flipped, 20e6, 0.5, 2.0))[0]
     assert np.allclose(a, b)
     assert np.all(a >= 0) and np.all(a <= 1)
 
@@ -121,33 +120,33 @@ def test_message_neighbor_order_invariant():
 
 def test_reward_capped_at_one():
     net = make_net([[6e6, 3.3e6]], [[0.77e-3, 0.83e-3]], [[0.2, 0.2]], [[2, 2]])
-    assert reward_local(net, spec(), 0) == 1.0
+    assert reward_local(net, spec())[0] == 1.0
 
 
 def test_reward_throughput_bottleneck():
     net = make_net([[2.5e6, 3e6]], [[0.5e-3, 0.5e-3]], [[0.2, 0.2]], [[2, 2]])
-    assert reward_local(net, spec(), 0) == pytest.approx(0.5)
+    assert reward_local(net, spec())[0] == pytest.approx(0.5)
 
 
 def test_reward_delay_bottleneck():
     net = make_net([[5e6, 3e6]], [[0.5e-3, 2e-3]], [[0.2, 0.2]], [[2, 2]])
-    assert reward_local(net, spec(), 0) == pytest.approx(0.5)
+    assert reward_local(net, spec())[0] == pytest.approx(0.5)
 
 
 def test_plain_variant_ignores_delay():
     net = make_net([[5e6, 3e6]], [[0.5e-3, 2e-3]], [[0.2, 0.2]], [[2, 2]])
-    assert reward_local(net, spec("plain"), 0) == 1.0
+    assert reward_local(net, spec("plain"))[0] == 1.0
 
 
 def test_idle_slice_excluded_from_min():
     # slice 0 idle with zero throughput; only slice 1 counts
     net = make_net([[0.0, 3e6]], [[5e-4, 1e-3]], [[0.0, 0.2]], [[0, 2]])
-    assert reward_local(net, spec(), 0) == 1.0
+    assert reward_local(net, spec())[0] == 1.0
 
 
 def test_all_idle_cell_scores_one():
     net = make_net([[0.0, 0.0]], [[5e-4, 5e-4]], [[0.0, 0.0]], [[0, 0]])
-    assert reward_local(net, spec(), 0) == 1.0
+    assert reward_local(net, spec())[0] == 1.0
 
 
 def test_global_reward_is_min_over_cells():
@@ -155,8 +154,7 @@ def test_global_reward_is_min_over_cells():
     net = make_net(rng.random((4, 2)) * 6e6, rng.random((4, 2)) * 2e-3 + 1e-4,
                    rng.random((4, 2)), rng.integers(0, 5, (4, 2)))
     s = spec()
-    locals_ = [reward_local(net, s, k) for k in range(4)]
-    assert reward_global(net, s) == pytest.approx(min(locals_))
+    assert reward_global(net, s) == pytest.approx(min(reward_local(net, s)))
 
 
 def test_global_reward_requirements_exactly_met():

@@ -1,22 +1,33 @@
 """Property tests for the core invariants: the action simplex, traffic-mask
 evaluation and monotonicity of the coupled-load fixed point; and exactness
-tests of the whole-array environment step and rewards against the
-per-element loops they replaced, kept here as literal references.
+tests of the whole-array environment step, observations, messages and
+rewards against the per-element code they replaced, kept here as literal
+references.
 
 ``derandomize=True`` makes hypothesis draw the same cases on every run, so
 the suite stays deterministic and its cost fixed.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from slicesim.mdp import RewardSpec, project_or_reject, reward_cells, reward_global, reward_local
+from slicesim.mdp import (
+    RewardSpec,
+    StateScaling,
+    extract_message,
+    global_state,
+    local_state,
+    project_or_reject,
+    reward_global,
+    reward_local,
+)
 from slicesim.netsim import (
     SIMPLEX_ATOL,
     TOPOLOGY_BUILDERS,
     NetState,
+    Topology,
     TrafficMask,
     solve_coupled_loads,
     walk_users,
@@ -180,7 +191,7 @@ def test_solve_coupled_loads_matches_the_load_map_loop(topo, slices, tol, max_it
 
 
 def reference_reward_local(net, spec, k):
-    """The per-slice loop ``reward_cells`` replaced."""
+    """The per-slice loop ``reward_local`` replaced."""
     worst = 1.0
     any_active = False
     for n in range(net.slice_count):
@@ -210,6 +221,85 @@ def test_rewards_match_the_per_slice_loop(cells, slices, variant, data):
     delay_req = tuple(data.draw(st.lists(st.floats(1e-4, 2e-3), min_size=slices, max_size=slices)))
     spec = RewardSpec(variant, req, delay_req)
     want = [reference_reward_local(net, spec, k) for k in range(cells)]
-    assert reward_cells(net, spec).tolist() == want
-    assert [reward_local(net, spec, k) for k in range(cells)] == want
-    assert reward_global(net, spec) == min(reward_local(net, spec, k) for k in range(cells))
+    assert reward_local(net, spec).tolist() == want
+    assert reward_global(net, spec) == min(want)
+
+
+def reference_local_state(net, k, scaling):
+    """The per-cell observation ``local_state`` replaced."""
+    phi = np.minimum(net.throughput[k] / np.asarray(scaling.throughput_req), 1.0)
+    users = net.users[k] / np.asarray(scaling.group_size_max, dtype=float)
+    return np.concatenate([phi, net.load[k], users])
+
+
+def reference_global_state(net, scaling):
+    """The per-cell loop ``global_state`` replaced."""
+    return np.concatenate([reference_local_state(net, k, scaling) for k in range(net.cell_count)])
+
+
+def reference_extract_message(net, topology, k):
+    """The per-cell message ``extract_message`` replaced."""
+    nbrs = topology.neighbors[k]
+    if not nbrs:
+        return np.zeros(net.slice_count)
+    return net.load[list(nbrs)].mean(axis=0)
+
+
+@st.composite
+def shuffled_topologies(draw):
+    """A ring, grid or full topology with each cell's neighbours in a drawn
+    order, and maybe one more cell with no neighbours at all."""
+    topo = draw(topologies)
+    nbrs = [tuple(draw(st.permutations(n))) for n in topo.neighbors]
+    if draw(st.booleans()):
+        nbrs.append(())
+    return Topology(len(nbrs), tuple(nbrs), topo.bandwidth_hz, topo.coupling, topo.se_max)
+
+
+@st.composite
+def observed_states(draw):
+    """A topology and a network state on it, with loads that are often 0 or 1."""
+    topo = draw(shuffled_topologies())
+    shape = (topo.cell_count, draw(st.integers(1, 3)))
+    net = NetState(
+        throughput=draw(hnp.arrays(float, shape, elements=st.floats(0.0, 12e6))),
+        delay=np.full(shape, 1e-3),
+        load=draw(hnp.arrays(float, shape, elements=st.one_of(st.sampled_from([0.0, 1.0]),
+                                                              st.floats(0.0, 1.0)))),
+        users=draw(hnp.arrays(np.int64, shape, elements=st.integers(0, 8))), t=1)
+    return topo, net
+
+
+@PROPERTY
+@given(observed_states(), st.data())
+def test_states_match_the_per_cell_functions(observed, data):
+    topo, net = observed
+    slices = net.slice_count
+    scaling = StateScaling(
+        throughput_req=tuple(data.draw(st.lists(st.floats(1e5, 1e7), min_size=slices,
+                                                max_size=slices))),
+        group_size_max=tuple(data.draw(st.lists(st.integers(1, 8), min_size=slices,
+                                                max_size=slices))))
+    states = local_state(net, scaling)
+    want = np.stack([reference_local_state(net, k, scaling) for k in range(topo.cell_count)])
+    assert states.shape == (topo.cell_count, 3 * slices)
+    assert states.tobytes() == want.tobytes()
+    assert global_state(net, scaling).tobytes() == reference_global_state(net, scaling).tobytes()
+
+
+def loaded_net(load):
+    return NetState(throughput=np.zeros(load.shape), delay=np.full(load.shape, 1e-3), load=load,
+                    users=np.zeros(load.shape, dtype=np.int64), t=1)
+
+
+@PROPERTY
+@given(observed_states())
+# eight neighbours and one slice: numpy adds eight or more contiguous values
+# pairwise, not left to right, and the message must add them the same way
+@example((Topology.full(9, 20e6, 0.5, 2.0), loaded_net(np.random.default_rng(0).random((9, 1)))))
+def test_messages_match_the_per_cell_mean(observed):
+    topo, net = observed
+    got = extract_message(net, topo)
+    want = np.stack([reference_extract_message(net, topo, k) for k in range(topo.cell_count)])
+    assert got.shape == want.shape == (topo.cell_count, net.slice_count)
+    assert got.tobytes() == want.tobytes()

@@ -16,7 +16,7 @@ from slicesim.netsim import (
 )
 from slicesim.schemes import (
     AgentHyperParams,
-    _EpsilonSchedule,
+    annealed_epsilon,
     baseline_allocation,
     build_scheme,
     build_scheme as build,
@@ -184,8 +184,7 @@ def test_dist_stores_local_rewards():
     net = make_net(sc)
     props, _ = ctl.act(net, "explore", 0)
     ctl.record(net, props, net)
-    for k in range(sc.cell_count):
-        assert ctl.agent.buffer.peek(0).reward[k] == pytest.approx(reward_local(net, rewards, k))
+    assert np.array_equal(ctl.agent.buffer.peek(0).reward, reward_local(net, rewards))
 
 
 def test_cen_soft_stores_global_reward():
@@ -287,8 +286,10 @@ def test_training_changes_parameters_and_is_deterministic():
 
 
 def test_epsilon_schedule():
-    eps = _EpsilonSchedule(1.0, 0.05, 100)
-    assert eps.value(0) == pytest.approx(1.0)
-    assert eps.value(50) == pytest.approx(0.525)
-    assert eps.value(100) == pytest.approx(0.05)
-    assert eps.value(500) == pytest.approx(0.05)
+    def eps(step):
+        return annealed_epsilon(step, 1.0, 0.05, 100)
+
+    assert eps(0) == pytest.approx(1.0)
+    assert eps(50) == pytest.approx(0.525)
+    assert eps(100) == pytest.approx(0.05)
+    assert eps(500) == pytest.approx(0.05)

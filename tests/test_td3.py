@@ -301,7 +301,9 @@ def test_train_step_noop_below_batch_size():
     fill_buffer(agent, agent.hyper.batch_size - 1)
     keep = [p.copy() for p in agent.actor.parameters() + agent.critics.parameters()]
     diag = agent.train_step(0)
-    assert not diag.updated
+    assert not diag.actor_updated
+    for values in (diag.critic_loss, diag.actor_objective, diag.mean_abs_td):
+        assert values.shape == (agent.members,) and np.isnan(values).all()
     for a, b in zip(agent.actor.parameters() + agent.critics.parameters(), keep):
         assert np.array_equal(a, b)
 
