@@ -38,13 +38,16 @@ def _median(values) -> float | None:
 
 
 def compare_runs(paths) -> dict:
-    """Aggregate run summaries per scheme; refuses mixed scenarios."""
+    """Aggregate run summaries per scheme; refuses mixed scenarios or phase plans."""
     summaries = [s if isinstance(s, dict) else load_summary(s) for s in paths]
     if not summaries:
         raise ValueError("need at least one summary")
     hashes = {s["scenario_hash"] for s in summaries}
     if len(hashes) > 1:
         raise ValueError(f"summaries span different scenarios: {sorted(hashes)}")
+    plans = {json.dumps(s["phases"], sort_keys=True) for s in summaries}
+    if len(plans) > 1:
+        raise ValueError(f"summaries span different phase plans: {sorted(plans)}")
 
     by_scheme: dict[str, list[dict]] = {}
     for s in summaries:

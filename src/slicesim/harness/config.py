@@ -102,6 +102,13 @@ def _integer(section: dict, key: str, path: str, minimum=None):
     return int(v)
 
 
+def _reject_duplicates(values, path: str) -> None:
+    """Raise for the first entry of ``values`` that repeats an earlier one."""
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ConfigError(f"{path}[{i}]: duplicate of {path}[{values.index(v)}]")
+
+
 def _check_section(obj, path: str, keys) -> dict:
     """``obj`` as a config object, every key of which is one of ``keys``."""
     if not isinstance(obj, dict):
@@ -205,7 +212,8 @@ def parse_hyper(obj, path: str = "agent") -> AgentHyperParams:
             continue
         v = section[f.name]
         if f.name.endswith("_hidden"):
-            if not isinstance(v, list) or not all(isinstance(x, int) and x > 0 for x in v):
+            if not isinstance(v, list) or not all(
+                    isinstance(x, int) and not isinstance(x, bool) and x > 0 for x in v):
                 raise ConfigError(f"{path}.{f.name}: expected a list of positive integers")
             kwargs[f.name] = tuple(v)
         elif f.name in ("batch_size", "policy_delay", "buffer_capacity"):
@@ -229,7 +237,21 @@ def parse_scheme_kinds(scheme_section: dict, path: str = "scheme") -> tuple[str,
         if k not in SCHEME_KINDS:
             raise ConfigError(f"{path}.kind: unknown scheme {k!r} "
                               f"(expected one of {SCHEME_KINDS})")
+    _reject_duplicates(kinds, f"{path}.kind")
     return tuple(kinds)
+
+
+def parse_seeds(seeds) -> tuple[int, ...]:
+    """Run seeds: a non-empty list of distinct non-negative integers."""
+    if not isinstance(seeds, list) or not seeds:
+        raise ConfigError("seeds: expected a non-empty list of integers")
+    for i, s in enumerate(seeds):
+        if isinstance(s, bool) or not isinstance(s, int):
+            raise ConfigError("seeds: expected a non-empty list of integers")
+        if s < 0:
+            raise ConfigError(f"seeds[{i}]: must be >= 0")
+    _reject_duplicates(seeds, "seeds")
+    return tuple(seeds)
 
 
 def scenario_hash(scenario_section: dict) -> str:
@@ -262,17 +284,12 @@ def parse_config(data: dict) -> ExperimentConfig:
     phases = PhasePlan(**{key: _integer(phases_section, key, "phases", minimum=0)
                           for key in ("explore", "train", "eval") if key in phases_section})
 
-    seeds = data.get("seeds", [0])
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError("seeds: expected a non-empty list of integers")
-    for i, s in enumerate(seeds):
-        if isinstance(s, bool) or not isinstance(s, int):
-            raise ConfigError("seeds: expected a non-empty list of integers")
-        if s < 0:
-            raise ConfigError(f"seeds[{i}]: must be >= 0")
+    seeds = parse_seeds(data.get("seeds", [0]))
 
     output_section = _check_section(data.get("output", {}), "output", ("dir",))
-    out_dir = str(output_section.get("dir", "runs"))
+    out_dir = output_section.get("dir", "runs")
+    if not isinstance(out_dir, str) or not out_dir:
+        raise ConfigError("output.dir: expected a non-empty string")
 
     return ExperimentConfig(
         scenario=scenario,
@@ -282,7 +299,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         scaling=StateScaling(scenario.slices.throughput_req, scenario.group_size_max),
         hyper=hyper,
         phases=phases,
-        seeds=tuple(int(s) for s in seeds),
+        seeds=seeds,
         out_dir=out_dir,
         scenario_hash=scenario_hash(scenario_section),
     )

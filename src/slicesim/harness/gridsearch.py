@@ -2,9 +2,9 @@
 
 Used as an independent optimum oracle: when the cell graph has one node and
 every traffic mask is constant, the network state does not depend on time, so
-the long-run reward of a fixed allocation equals its one-step reward. The
-best grid point then bounds what any controller can achieve (up to grid
-resolution).
+the long-run reward of a fixed allocation equals its one-step reward, which
+is scored with one ``SliceEnv.step``. The best grid point then bounds what
+any controller can achieve (up to grid resolution).
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from ..mdp import RewardSpec, reward_global
-from ..netsim import (ConfigError, Scenario, UserDistribution, active_user_target,
-                      compute_kpis, offered_traffic, solve_coupled_loads,
-                      validate_allocation)
+from ..netsim import ConfigError, Scenario, SliceEnv
 
 
 def simplex_grid(parts: int, resolution: int):
@@ -42,20 +40,13 @@ def _require_static(scenario: Scenario) -> None:
 
 
 def evaluate_static(scenario: Scenario, rewards: RewardSpec, allocation) -> float:
-    """Steady-state global reward of one fixed allocation."""
+    """Steady-state global reward of one fixed allocation: the reward of one
+    environment step, the same at every step of a static scenario."""
     _require_static(scenario)
-    sc = scenario
-    targets = [active_user_target(g, m.value(0.0))
-               for g, m in zip(sc.group_size_max, sc.masks)]
-    dist = UserDistribution(np.array([targets], dtype=int), tuple(sc.group_size_max))
-    offered = offered_traffic(dist, sc.slices)
-    alloc = np.asarray(allocation, dtype=float).reshape(1, sc.slice_count + 1)
-    validate_allocation(alloc, 1, sc.slice_count)
-    loads, converged, _ = solve_coupled_loads(sc.topology, alloc, offered,
-                                              tol=sc.fp_tol, max_iter=sc.fp_max_iter)
-    state = compute_kpis(sc.topology, alloc, offered, loads, dist, 0,
-                         sc.delay_base_s, sc.load_cap, fp_converged=converged)
-    return reward_global(state, rewards)
+    env = SliceEnv(scenario, seed=0)
+    env.reset()
+    alloc = np.asarray(allocation, dtype=float).reshape(1, scenario.slice_count + 1)
+    return reward_global(env.step(alloc), rewards)
 
 
 def grid_search(scenario: Scenario, rewards: RewardSpec, step: float = 0.01) -> dict:

@@ -31,7 +31,7 @@ import numpy as np
 from ..mdp import penalty_gaps, reward_global, reward_penalized
 from ..netsim import SIMPLEX_ATOL, SliceEnv
 from ..schemes import build_scheme
-from .config import ExperimentConfig
+from .config import ExperimentConfig, parse_scheme_kinds, parse_seeds
 from .metrics import mask_correlation, resource_efficiency, steps_to_fraction_of_final
 
 
@@ -192,9 +192,13 @@ def run_single(cfg: ExperimentConfig, kind: str, seed: int, out_dir) -> dict:
 
 
 def run_experiment(cfg: ExperimentConfig, schemes=None, seeds=None, out_root=None) -> list[dict]:
-    """Run every requested scheme under every seed; one directory per run."""
-    kinds = tuple(schemes) if schemes else cfg.scheme_kinds
-    seed_list = tuple(seeds) if seeds else cfg.seeds
+    """Run every requested scheme under every seed; one directory per run.
+
+    ``schemes`` and ``seeds`` override the config's lists and are checked
+    as those are, before the first run starts.
+    """
+    kinds = parse_scheme_kinds({"kind": list(schemes)}) if schemes else cfg.scheme_kinds
+    seed_list = parse_seeds(list(seeds)) if seeds else cfg.seeds
     root = Path(out_root) if out_root else Path(cfg.out_dir)
     results = []
     for kind in kinds:

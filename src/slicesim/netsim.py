@@ -8,7 +8,7 @@ in which a cell's effective capacity shrinks with its neighbours' total load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -175,22 +175,6 @@ class TrafficMask:
 
 
 @dataclass
-class UserDistribution:
-    """Active-user counts per (cell, slice) plus per-slice population caps."""
-
-    counts: np.ndarray  # (K, N) int
-    group_size_max: tuple[int, ...]
-
-    def __post_init__(self):
-        if (self.counts < 0).any():
-            raise ConfigError("user counts must be non-negative")
-        totals = self.counts.sum(axis=0)
-        for n, g in enumerate(self.group_size_max):
-            if totals[n] > g:
-                raise ConfigError(f"slice {n} has {totals[n]} users > group max {g}")
-
-
-@dataclass
 class NetState:
     """Per-(cell, slice) KPIs observed after one environment step.
 
@@ -253,11 +237,6 @@ def validate_allocation(allocation: np.ndarray, cell_count: int, slice_count: in
 # ---------------------------------------------------------------------------
 
 
-def active_user_target(group_size_max: int, mask_value: float) -> int:
-    """Number of active users for one slice: round(group_size * mask)."""
-    return int(np.floor(group_size_max * mask_value + 0.5))
-
-
 def walk_users(rng: np.random.Generator, topology: Topology, positions: np.ndarray,
                p_stay: float) -> np.ndarray:
     """One Markov-walk step for every (potential) user.
@@ -273,21 +252,6 @@ def walk_users(rng: np.random.Generator, topology: Topology, positions: np.ndarr
     # a cell without neighbours has only itself in its row
     pick = (draws * degree[flat]).astype(np.int64)
     return np.where(move, table[flat, pick], flat).reshape(positions.shape)
-
-
-def count_active_users(positions: np.ndarray, targets: list[int], cell_count: int) -> np.ndarray:
-    """Count the first ``targets[n]`` users of each slice per cell."""
-    n_slices = positions.shape[0]
-    counts = np.zeros((cell_count, n_slices), dtype=int)
-    for n in range(n_slices):
-        active = positions[n, : targets[n]]
-        counts[:, n] = np.bincount(active, minlength=cell_count)
-    return counts
-
-
-def offered_traffic(user_dist: UserDistribution, slices: SliceSpec) -> np.ndarray:
-    """Offered load matrix (bit/s): active users times per-user demand."""
-    return user_dist.counts * np.asarray(slices.demand_per_user)
 
 
 @lru_cache(maxsize=16)
@@ -319,13 +283,6 @@ def _capacity(adjacency: np.ndarray, coupling: float, peak: np.ndarray, loads: n
 
 def _peak_capacity(topology: Topology, allocation: np.ndarray) -> np.ndarray:
     return allocation[:, 1:] * topology.bandwidth_hz * topology.se_max
-
-
-def effective_capacity(topology: Topology, allocation: np.ndarray,
-                       loads: np.ndarray) -> np.ndarray:
-    """Per-(cell, slice) capacity under the given neighbour loads (bit/s)."""
-    return _capacity(_adjacency(topology), topology.coupling,
-                     _peak_capacity(topology, allocation), loads)
 
 
 def solve_coupled_loads(topology: Topology, allocation: np.ndarray, offered: np.ndarray,
@@ -363,24 +320,26 @@ def solve_coupled_loads(topology: Topology, allocation: np.ndarray, offered: np.
 
 
 def compute_kpis(topology: Topology, allocation: np.ndarray, offered: np.ndarray,
-                 loads: np.ndarray, user_dist: UserDistribution, t: int,
-                 delay_base_s: float, load_cap: float, fp_converged: bool = True) -> NetState:
+                 loads: np.ndarray, users: np.ndarray, t: int, delay_base_s: float,
+                 load_cap: float, fp_converged: bool = True,
+                 mask: tuple[float, ...] = ()) -> NetState:
     """Derive the observable KPIs from a solved load pattern.
 
-    Served traffic is min(offered, capacity); per-user throughput divides by
-    the active-user count; delay follows an M/M/1-style congestion curve
+    ``users`` holds the (K, N) active-user counts. Served traffic is
+    min(offered, capacity); per-user throughput divides by the active-user
+    count; delay follows an M/M/1-style congestion curve
     d_base / (1 - load). Idle slices report zero throughput and base delay.
     """
-    cap = effective_capacity(topology, allocation, loads)
+    cap = _capacity(_adjacency(topology), topology.coupling,
+                    _peak_capacity(topology, allocation), loads)
     served = np.minimum(offered, cap)
-    users = user_dist.counts
     throughput = served / np.maximum(users, 1)
     delay = delay_base_s / (1.0 - np.minimum(loads, load_cap))
     idle = users == 0
     throughput[idle] = 0.0
     delay[idle] = delay_base_s
     return NetState(throughput=throughput, delay=delay, load=loads.copy(),
-                    users=users.copy(), t=t, fp_converged=fp_converged)
+                    users=users.copy(), t=t, fp_converged=fp_converged, mask=mask)
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +399,15 @@ class SliceEnv:
     def _mask_values(self, t: int) -> tuple[float, ...]:
         return tuple(m.value(t) for m in self.scenario.masks)
 
-    def _user_dist(self, mask: tuple[float, ...]) -> UserDistribution:
+    def _count_users(self, mask: tuple[float, ...]) -> np.ndarray:
+        """(K, N) counts per cell of each slice's first
+        floor(group_size_max * mask + 0.5) users."""
         sc = self.scenario
-        targets = [active_user_target(g, v) for g, v in zip(sc.group_size_max, mask)]
-        counts = count_active_users(self._positions, targets, sc.cell_count)
-        return UserDistribution(counts=counts, group_size_max=sc.group_size_max)
+        users = np.zeros((sc.cell_count, sc.slice_count), dtype=int)
+        for n, (g, v) in enumerate(zip(sc.group_size_max, mask)):
+            active = self._positions[n, : int(np.floor(g * v + 0.5))]
+            users[:, n] = np.bincount(active, minlength=sc.cell_count)
+        return users
 
     def reset(self) -> NetState:
         """Place users uniformly at random and return the idle initial state."""
@@ -453,10 +416,9 @@ class SliceEnv:
         self._positions = self._rng.integers(
             0, sc.cell_count, size=(sc.slice_count, max(sc.group_size_max)))
         mask = self._mask_values(0)
-        dist = self._user_dist(mask)
         shape = (sc.cell_count, sc.slice_count)
         return NetState(throughput=np.zeros(shape), delay=np.full(shape, sc.delay_base_s),
-                        load=np.zeros(shape), users=dist.counts, t=0, mask=mask)
+                        load=np.zeros(shape), users=self._count_users(mask), t=0, mask=mask)
 
     def step(self, allocation: np.ndarray) -> NetState:
         """Advance one step under ``allocation`` and return the new KPIs.
@@ -471,11 +433,9 @@ class SliceEnv:
         self.t += 1
         self._positions = walk_users(self._rng, sc.topology, self._positions, sc.p_stay)
         mask = self._mask_values(self.t)
-        dist = self._user_dist(mask)
-        offered = offered_traffic(dist, sc.slices)
+        users = self._count_users(mask)
+        offered = users * np.asarray(sc.slices.demand_per_user)
         loads, converged, _ = solve_coupled_loads(
             sc.topology, alloc, offered, tol=sc.fp_tol, max_iter=sc.fp_max_iter)
-        state = compute_kpis(sc.topology, alloc, offered, loads, dist, self.t,
-                             sc.delay_base_s, sc.load_cap, fp_converged=converged)
-        state.mask = mask
-        return state
+        return compute_kpis(sc.topology, alloc, offered, loads, users, self.t,
+                            sc.delay_base_s, sc.load_cap, fp_converged=converged, mask=mask)

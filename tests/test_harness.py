@@ -192,6 +192,38 @@ def test_negative_seed_rejected():
         parse_config(data)
 
 
+@pytest.mark.parametrize("seeds, path", [([0, 0], "seeds[1]"), ([3, 1, 3], "seeds[2]")])
+def test_duplicate_seed_rejected(seeds, path):
+    data = tiny_config_data()
+    data["seeds"] = seeds
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: duplicate of seeds[0]")):
+        parse_config(data)
+
+
+def test_duplicate_scheme_kind_rejected():
+    data = tiny_config_data()
+    data["scheme"]["kind"] = ["dist", "baseline", "dist"]
+    with pytest.raises(ConfigError,
+                       match=re.escape("scheme.kind[2]: duplicate of scheme.kind[0]")):
+        parse_config(data)
+
+
+@pytest.mark.parametrize("out_dir", [None, 5, ""])
+def test_output_dir_must_be_a_non_empty_string(out_dir):
+    data = tiny_config_data()
+    data["output"] = {"dir": out_dir}
+    with pytest.raises(ConfigError, match=re.escape("output.dir: expected a non-empty string")):
+        parse_config(data)
+
+
+@pytest.mark.parametrize("hidden", [[True, 8], [8, False], [0, 8], [8.0]])
+def test_hidden_widths_must_be_positive_integers(hidden):
+    data = tiny_config_data()
+    data["agent"] = {"dist_actor_hidden": hidden}
+    with pytest.raises(ConfigError, match=re.escape("agent.dist_actor_hidden: expected a list")):
+        parse_config(data)
+
+
 @pytest.mark.parametrize("entry, message", [
     (None, "expected a number, got NoneType"),
     ("0.5", "expected a number, got str"),
@@ -586,6 +618,15 @@ def test_compare_rejects_mixed_scenarios(tmp_path):
         compare_runs([a, b])
 
 
+def test_compare_rejects_mixed_phase_plans(tmp_path):
+    (d,) = _two_runs(tmp_path, seeds=(0,))
+    a = load_summary(d)
+    b = dict(a, phases={"explore": 5, "train": 7, "eval": 3})
+    with pytest.raises(ValueError, match="different phase plans") as err:
+        compare_runs([a, b])
+    assert '"train": 6' in str(err.value) and '"train": 7' in str(err.value)
+
+
 def test_mean_curve_matches_smoothed_column(tmp_path):
     (d,) = _two_runs(tmp_path, seeds=(0,))
     s = load_summary(d)
@@ -648,3 +689,25 @@ def test_cli_run_and_compare(tmp_path, capsys):
                  str(tmp_path / "runs" / "static_default" / "seed1")])
     assert code == 0
     assert "eval_reward" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seeds, message", [
+    (["0", "-1"], "seeds[1]: must be >= 0"),
+    (["0", "0"], "seeds[1]: duplicate of seeds[0]"),
+])
+def test_cli_run_checks_seed_overrides_before_any_run(tmp_path, capsys, seeds, message):
+    cfg_path = tmp_path / "tiny.json"
+    cfg_path.write_text(json.dumps(tiny_config_data()))
+    argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "runs")]
+    for seed in seeds:
+        argv += ["--seed", seed]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_run_experiment_rejects_duplicate_scheme_overrides(tmp_path):
+    cfg = parse_config(tiny_config_data())
+    with pytest.raises(ConfigError, match=re.escape("scheme.kind[1]: duplicate")):
+        run_experiment(cfg, schemes=["baseline", "baseline"], out_root=tmp_path / "runs")
+    assert not (tmp_path / "runs").exists()

@@ -11,11 +11,7 @@ from slicesim.netsim import (
     SliceSpec,
     Topology,
     TrafficMask,
-    UserDistribution,
-    active_user_target,
     compute_kpis,
-    count_active_users,
-    offered_traffic,
     solve_coupled_loads,
     validate_allocation,
     walk_users,
@@ -132,24 +128,26 @@ def test_topology_validation():
 # ---------------------------------------------------------------------------
 
 
+def reset_users(groups, mask_values):
+    """User counts of ``reset()`` on one cell, one slice per (group size,
+    constant mask value)."""
+    masks = tuple(TrafficMask(((0.0, v),), period=100.0) for v in mask_values)
+    sc = make_scenario(one_cell(), lam_ue=(3e6,) * len(groups), groups=groups, masks=masks)
+    return SliceEnv(sc, 0).reset().users
+
+
 def test_active_user_target_rounding():
-    assert active_user_target(32, 1.0) == 32
-    assert active_user_target(32, 0.0) == 0
-    assert active_user_target(6, 0.2) == 1  # 1.2 rounds down
-    assert active_user_target(5, 0.5) == 3  # 2.5 rounds half-up
-    assert active_user_target(4, 0.125) == 1  # 0.5 rounds half-up
+    users = reset_users((32, 32, 6, 5, 4), (1.0, 0.0, 0.2, 0.5, 0.125))
+    # 6 * 0.2 = 1.2 rounds down; 5 * 0.5 = 2.5 and 4 * 0.125 = 0.5 round half-up
+    assert users.tolist() == [[32, 0, 1, 3, 1]]
 
 
 def test_zero_mask_means_no_users():
-    pos = np.zeros((1, 32), dtype=int)
-    counts = count_active_users(pos, [0], cell_count=1)
-    assert counts.sum() == 0
+    assert reset_users((32,), (0.0,)).sum() == 0
 
 
 def test_full_mask_single_cell():
-    pos = np.zeros((1, 32), dtype=int)
-    counts = count_active_users(pos, [32], cell_count=1)
-    assert counts[0, 0] == 32
+    assert reset_users((32,), (1.0,))[0, 0] == 32
 
 
 def test_walk_conserves_population_and_alignment():
@@ -178,25 +176,26 @@ def test_walk_p_stay_one_freezes_users():
     assert np.array_equal(out, pos)
 
 
-def test_user_distribution_cap():
-    with pytest.raises(ConfigError):
-        UserDistribution(counts=np.array([[5], [6]]), group_size_max=(10,))
-
-
 # ---------------------------------------------------------------------------
 # offered traffic
 # ---------------------------------------------------------------------------
 
 
 def test_offered_traffic_values():
-    dist = UserDistribution(counts=np.array([[0, 10]]), group_size_max=(16, 16))
-    slices = SliceSpec((1e6, 1e6), (1e-3, 1e-3), (2e6, 5e6))
-    lam = offered_traffic(dist, slices)
-    assert lam[0, 0] == 0.0
-    assert lam[0, 1] == pytest.approx(50e6)
-    # linearity in the user count
-    dist2 = UserDistribution(counts=np.array([[0, 20]]), group_size_max=(32, 32))
-    assert offered_traffic(dist2, slices)[0, 1] == pytest.approx(2 * lam[0, 1])
+    # one uncoupled cell with ample capacity (100 Mbit/s a slice) serves
+    # each slice's users times its per-user demand
+    masks = (TrafficMask(((0.0, 0.0),), period=100.0), TrafficMask(((0.0, 1.0),), period=100.0))
+    for users in (10, 20):
+        sc = make_scenario(one_cell(se=10.0), lam_ue=(2e6, 3e6), groups=(users, users),
+                           masks=masks)
+        env = SliceEnv(sc, 0)
+        env.reset()
+        st = env.step(np.array([[0.0, 0.5, 0.5]]))
+        assert st.users.tolist() == [[0, users]]
+        served = st.throughput * st.users
+        assert served[0, 0] == 0.0
+        assert served[0, 1] == pytest.approx(users * 3e6)
+        assert st.load[0, 1] == pytest.approx(users * 3e6 / 100e6)
 
 
 # ---------------------------------------------------------------------------
@@ -324,38 +323,37 @@ def kpi_inputs(load_value, users=4, lam_val=4e6, alloc_val=0.5):
     alloc = np.array([[1.0 - alloc_val, alloc_val]])
     lam = np.array([[float(lam_val)]])
     loads = np.array([[float(load_value)]])
-    dist = UserDistribution(counts=np.array([[users]]), group_size_max=(32,))
-    return topo, alloc, lam, loads, dist
+    return topo, alloc, lam, loads, np.array([[users]])
 
 
 def test_delay_at_zero_load_is_base():
-    topo, alloc, lam, loads, dist = kpi_inputs(0.0)
-    st = compute_kpis(topo, alloc, lam, loads, dist, t=1, delay_base_s=5e-4, load_cap=0.99)
+    topo, alloc, lam, loads, users = kpi_inputs(0.0)
+    st = compute_kpis(topo, alloc, lam, loads, users, t=1, delay_base_s=5e-4, load_cap=0.99)
     assert st.delay[0, 0] == pytest.approx(5e-4)
 
 
 def test_delay_at_half_load_doubles():
-    topo, alloc, lam, loads, dist = kpi_inputs(0.5)
-    st = compute_kpis(topo, alloc, lam, loads, dist, t=1, delay_base_s=5e-4, load_cap=0.99)
+    topo, alloc, lam, loads, users = kpi_inputs(0.5)
+    st = compute_kpis(topo, alloc, lam, loads, users, t=1, delay_base_s=5e-4, load_cap=0.99)
     assert st.delay[0, 0] == pytest.approx(1.0e-3)
 
 
 def test_delay_capped_near_saturation():
-    topo, alloc, lam, loads, dist = kpi_inputs(1.0)
-    st = compute_kpis(topo, alloc, lam, loads, dist, t=1, delay_base_s=5e-4, load_cap=0.99)
+    topo, alloc, lam, loads, users = kpi_inputs(1.0)
+    st = compute_kpis(topo, alloc, lam, loads, users, t=1, delay_base_s=5e-4, load_cap=0.99)
     assert st.delay[0, 0] == pytest.approx(5e-4 / 0.01)
 
 
 def test_uncongested_serves_all_demand():
     # capacity 0.5 * 20e6 * 2 = 20e6 > lam = 4e6 -> everything served
-    topo, alloc, lam, loads, dist = kpi_inputs(0.2, users=4, lam_val=4e6)
-    st = compute_kpis(topo, alloc, lam, loads, dist, t=1, delay_base_s=5e-4, load_cap=0.99)
-    assert st.throughput[0, 0] * dist.counts[0, 0] == pytest.approx(4e6)
+    topo, alloc, lam, loads, users = kpi_inputs(0.2, users=4, lam_val=4e6)
+    st = compute_kpis(topo, alloc, lam, loads, users, t=1, delay_base_s=5e-4, load_cap=0.99)
+    assert st.throughput[0, 0] * users[0, 0] == pytest.approx(4e6)
 
 
 def test_idle_slice_kpi_convention():
-    topo, alloc, lam, loads, dist = kpi_inputs(0.4, users=0, lam_val=0.0)
-    st = compute_kpis(topo, alloc, lam, loads, dist, t=1, delay_base_s=5e-4, load_cap=0.99)
+    topo, alloc, lam, loads, users = kpi_inputs(0.4, users=0, lam_val=0.0)
+    st = compute_kpis(topo, alloc, lam, loads, users, t=1, delay_base_s=5e-4, load_cap=0.99)
     assert st.throughput[0, 0] == 0.0
     assert st.delay[0, 0] == pytest.approx(5e-4)
 
@@ -368,12 +366,11 @@ def test_served_traffic_conservation():
     lam = rng.random((3, 2)) * 25e6
     loads, _, _ = solve_coupled_loads(topo, alloc, lam)
     users = rng.integers(1, 8, size=(3, 2))
-    dist = UserDistribution(counts=users, group_size_max=(32, 32))
-    st = compute_kpis(topo, alloc, lam, loads, dist, t=3, delay_base_s=5e-4, load_cap=0.99)
+    st = compute_kpis(topo, alloc, lam, loads, users, t=3, delay_base_s=5e-4, load_cap=0.99)
     served = st.throughput * users
-    from slicesim.netsim import effective_capacity
-
-    cap = effective_capacity(topo, alloc, loads)
+    # on a 3-ring every cell neighbours the other two
+    neighbour_load = loads.sum() - loads.sum(axis=1)
+    cap = alloc[:, 1:] * B20 * 2.0 / (1.0 + 0.4 * neighbour_load)[:, None]
     assert np.all(served <= lam + 1e-6)
     assert np.all(served <= cap + 1e-6)
 

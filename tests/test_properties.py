@@ -1,5 +1,6 @@
 """Property tests for the core invariants: the action simplex, traffic-mask
-evaluation and monotonicity of the coupled-load fixed point; and exactness
+evaluation, the environment's user counts and monotonicity of the
+coupled-load fixed point; and exactness
 tests of the whole-array environment step, observations, messages and
 rewards against the per-element code they replaced, kept here as literal
 references.
@@ -7,6 +8,8 @@ references.
 ``derandomize=True`` makes hypothesis draw the same cases on every run, so
 the suite stays deterministic and its cost fixed.
 """
+
+import math
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -27,6 +30,9 @@ from slicesim.netsim import (
     SIMPLEX_ATOL,
     TOPOLOGY_BUILDERS,
     NetState,
+    Scenario,
+    SliceEnv,
+    SliceSpec,
     Topology,
     TrafficMask,
     solve_coupled_loads,
@@ -102,14 +108,39 @@ def test_loads_never_fall_as_offered_traffic_rises(kind, cells, slices, coupling
     assert np.all(after >= base - 1e-9)
 
 
-# ---------------------------------------------------------------------------
-# whole-array code against the loops it replaced
-# ---------------------------------------------------------------------------
-
 topologies = st.builds(lambda kind, cells, coupling: TOPOLOGY_BUILDERS[kind](cells, 20e6, coupling, 2.0),
                        st.sampled_from(["ring", "grid", "full"]), st.integers(1, 9),
                        st.floats(0.0, 1.0))
 
+
+# constant masks at values that put group_size * mask on a half, where
+# rounding half-up and half-down part
+exact_masks = st.builds(lambda v: TrafficMask(((0.0, v),), period=10.0),
+                        st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.75, 1.0]))
+
+
+@PROPERTY
+@given(topologies, st.integers(1, 3), st.floats(0.0, 1.0), st.integers(0, 8),
+       st.integers(0, 2 ** 32), st.data())
+def test_user_counts_follow_the_rounded_mask(topo, slices, p_stay, steps, seed, data):
+    k = topo.cell_count
+    groups = tuple(data.draw(st.lists(st.integers(1, 12), min_size=slices, max_size=slices)))
+    slice_masks = tuple(data.draw(st.lists(st.one_of(exact_masks, masks()),
+                                           min_size=slices, max_size=slices)))
+    spec = SliceSpec((5e6,) * slices, (1e-3,) * slices, (3e6,) * slices)
+    env = SliceEnv(Scenario(topo, spec, slice_masks, groups, p_stay=p_stay), seed)
+    alloc = np.full((k, slices + 1), 1.0 / (slices + 1))
+    states = [env.reset()] + [env.step(alloc) for _ in range(steps)]
+    for net in states:
+        want = [math.floor(g * m.value(net.t) + 0.5) for g, m in zip(groups, slice_masks)]
+        assert net.users.shape == (k, slices)
+        assert (net.users >= 0).all()
+        assert net.users.sum(axis=0).tolist() == want
+
+
+# ---------------------------------------------------------------------------
+# whole-array code against the loops it replaced
+# ---------------------------------------------------------------------------
 
 def reference_walk_users(rng, topology, positions, p_stay):
     """The per-user loop ``walk_users`` replaced."""
@@ -145,13 +176,13 @@ def reference_solve(topology, allocation, offered, tol, max_iter):
     for k, nbrs in enumerate(topology.neighbors):
         adjacency[k, list(nbrs)] = 1.0
 
-    def effective_capacity(loads):
+    def capacity(loads):
         interference = adjacency @ loads.sum(axis=1)
         denom = 1.0 + topology.coupling * interference
         return allocation[:, 1:] * topology.bandwidth_hz * topology.se_max / denom[:, None]
 
     def load_map(loads):
-        cap = effective_capacity(loads)
+        cap = capacity(loads)
         out = np.zeros_like(offered)
         pos = offered > 0
         served_pos = pos & (cap > 0)
