@@ -39,14 +39,22 @@ def _require_static(scenario: Scenario) -> None:
             raise ConfigError(f"grid search needs constant masks, slice {n} varies")
 
 
-def evaluate_static(scenario: Scenario, rewards: RewardSpec, allocation) -> float:
-    """Steady-state global reward of one fixed allocation: the reward of one
-    environment step, the same at every step of a static scenario."""
+def _static_env(scenario: Scenario) -> SliceEnv:
     _require_static(scenario)
     env = SliceEnv(scenario, seed=0)
     env.reset()
-    alloc = np.asarray(allocation, dtype=float).reshape(1, scenario.slice_count + 1)
+    return env
+
+
+def _step_reward(env: SliceEnv, rewards: RewardSpec, allocation) -> float:
+    alloc = np.asarray(allocation, dtype=float).reshape(1, env.scenario.slice_count + 1)
     return reward_global(env.step(alloc), rewards)
+
+
+def evaluate_static(scenario: Scenario, rewards: RewardSpec, allocation) -> float:
+    """Steady-state global reward of one fixed allocation: the reward of one
+    environment step, the same at every step of a static scenario."""
+    return _step_reward(_static_env(scenario), rewards, allocation)
 
 
 def grid_search(scenario: Scenario, rewards: RewardSpec, step: float = 0.01) -> dict:
@@ -57,14 +65,16 @@ def grid_search(scenario: Scenario, rewards: RewardSpec, step: float = 0.01) -> 
     """
     if not 0.0 < step <= 1.0:
         raise ValueError("step must lie in (0, 1]")
-    _require_static(scenario)
+    # every user stays in the one cell and every mask is constant, so each
+    # step of one environment scores its allocation as a fresh one would
+    env = _static_env(scenario)
     resolution = int(round(1.0 / step))
     best_alloc = None
     best_reward = -np.inf
     points = 0
     for alloc in simplex_grid(scenario.slice_count + 1, resolution):
         points += 1
-        r = evaluate_static(scenario, rewards, alloc)
+        r = _step_reward(env, rewards, alloc)
         if r > best_reward:
             best_reward = r
             best_alloc = alloc

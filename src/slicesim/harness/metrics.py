@@ -20,7 +20,8 @@ def resource_efficiency(net: NetState, allocation: np.ndarray,
     share = allocation[:, 1:]
     terms = np.zeros_like(served, dtype=float)
     np.divide(served, share * topology.bandwidth_hz, out=terms, where=share > 0)
-    return terms.mean(axis=1)
+    # the mean over slices, as np.mean computes it
+    return np.add.reduce(terms, 1) / terms.shape[1]
 
 
 def mask_correlation(actions, mask_values) -> float:

@@ -5,8 +5,8 @@ scheme-independent schema. Floats are serialized with ``repr`` so re-parsing
 gives back the exact same doubles; identical config and seed therefore
 produce byte-identical CSVs.
 
-Each step's values are computed once: the step's penalty gaps feed both the
-``penalty`` column and the penalized reward, and one ``resource_efficiency``
+Each step's values are computed once: the step's mean penalty gap feeds both
+the ``penalty`` column and the penalized reward, and one ``resource_efficiency``
 call gives every cell's efficiency. What ``summary.json`` reads is stored in
 arrays indexed by step (per-slice values summed over cells, the allocation
 share averaged over cells), and the summary is built from those arrays.
@@ -33,16 +33,6 @@ from ..netsim import SIMPLEX_ATOL, SliceEnv
 from ..schemes import build_scheme
 from .config import ExperimentConfig, parse_scheme_kinds, parse_seeds
 from .metrics import mask_correlation, resource_efficiency, steps_to_fraction_of_final
-
-
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, str):
-        return x
-    return repr(float(x))
 
 
 def csv_header(cell_count: int, slice_count: int) -> list[str]:
@@ -103,30 +93,31 @@ def run_single(cfg: ExperimentConfig, kind: str, seed: int, out_dir) -> dict:
             if not nxt.fp_converged:
                 nonconverged += 1
 
-            raw[step] = reward_global(nxt, cfg.rewards)
-            gaps = penalty_gaps(proposals)
-            penalty[step] = np.mean(gaps)
-            pen_reward[step] = reward_penalized(raw[step], gaps, cfg.rewards.beta)
+            # a mean over cells is np.add.reduce over them divided by k, as
+            # np.mean computes it, without np.mean's Python layer
+            raw[step] = reward = reward_global(nxt, cfg.rewards)
+            penalty[step] = mean_gap = float(np.add.reduce(penalty_gaps(proposals)) / k)
+            pen_reward[step] = reward_pen = reward_penalized(reward, mean_gap, cfg.rewards.beta)
             if phase != "eval":
                 controller.record(state, proposals, nxt)
             diag = controller.train(step) if phase == "train" and controller.trains else None
 
             mask[step] = nxt.mask
             eta = resource_efficiency(nxt, alloc, sc.topology)
-            eta_mean[step] = np.mean(eta)
-            served[step] = (nxt.throughput * nxt.users).sum(axis=0)
-            users[step] = nxt.users.sum(axis=0)
-            delay_w[step] = (nxt.delay * nxt.users).sum(axis=0)
-            share[step] = alloc[:, 1:].mean(axis=0)
+            eta_mean[step] = np.add.reduce(eta) / k
+            served[step] = np.add.reduce(nxt.throughput * nxt.users, 0)
+            users[step] = np.add.reduce(nxt.users, 0)
+            delay_w[step] = np.add.reduce(nxt.delay * nxt.users, 0)
+            share[step] = np.add.reduce(alloc[:, 1:], 0) / k
 
             # mean over agents; with one agent this is its own value, exactly
-            head = [step, phase, raw[step], pen_reward[step], penalty[step],
-                    np.mean(diag.critic_loss) if diag else float("nan"),
-                    np.mean(diag.actor_objective) if diag else float("nan"),
-                    nxt.fp_converged]
+            critic = float(np.mean(diag.critic_loss)) if diag else float("nan")
+            actor = float(np.mean(diag.actor_objective)) if diag else float("nan")
+            head = (f"{step},{phase},{reward!r},{reward_pen!r},{mean_gap!r},{critic!r},{actor!r},"
+                    f"{1 if nxt.fp_converged else 0}")
             floats = np.concatenate([mask[step], eta, nxt.throughput, nxt.delay, nxt.load],
                                     axis=None)
-            fh.write(",".join([*map(_fmt, head), *map(repr, floats.tolist()),
+            fh.write(",".join([head, *map(repr, floats.tolist()),
                                *map(str, nxt.users.ravel().tolist()),
                                *map(repr, alloc.ravel().tolist())]) + "\n")
             state = nxt

@@ -118,10 +118,10 @@ def penalty_gaps(proposal: np.ndarray) -> np.ndarray:
     return np.abs(a.sum(axis=-1) - 1.0)
 
 
-def reward_penalized(raw_reward: float, gaps: np.ndarray, beta: float) -> float:
-    """Raw reward minus beta times the mean of the budget ``gaps`` that
-    :func:`penalty_gaps` gives for a proposal."""
-    return float(raw_reward - beta * np.mean(gaps))
+def reward_penalized(raw_reward: float, mean_gap: float, beta: float) -> float:
+    """Raw reward minus beta times ``mean_gap``, the mean of the budget gaps
+    that :func:`penalty_gaps` gives for a proposal."""
+    return float(raw_reward - beta * mean_gap)
 
 
 # ---------------------------------------------------------------------------

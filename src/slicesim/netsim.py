@@ -8,8 +8,10 @@ in which a cell's effective capacity shrinks with its neighbours' total load.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -121,6 +123,9 @@ class SliceSpec:
         return len(self.throughput_req)
 
 
+_time = itemgetter(0)  # a breakpoint's time
+
+
 @dataclass(frozen=True)
 class TrafficMask:
     """Piecewise-linear periodic activity scaling in [0, 1].
@@ -153,15 +158,14 @@ class TrafficMask:
         if len(pts) == 1:
             return pts[0][1]
         tau = float(t) % self.period
-        times = [p[0] for p in pts]
         # segment [t_i, t_{i+1}) containing tau; tau before the first
         # breakpoint falls on the wrap-around segment from the last one
-        if tau < times[0]:
+        if tau < pts[0][0]:
             t0, v0 = pts[-1]
             t1, v1 = pts[0]
             t0 -= self.period
         else:
-            idx = int(np.searchsorted(times, tau, side="right")) - 1
+            idx = bisect_right(pts, tau, key=_time) - 1
             t0, v0 = pts[idx]
             if idx + 1 < len(pts):
                 t1, v1 = pts[idx + 1]
@@ -274,6 +278,9 @@ def neighbor_table(topology: Topology) -> tuple[np.ndarray, np.ndarray]:
     return table, degree
 
 
+_TINY = np.finfo(float).tiny
+
+
 def _capacity(adjacency: np.ndarray, coupling: float, peak: np.ndarray, loads: np.ndarray,
               out: np.ndarray | None = None) -> np.ndarray:
     """``peak`` capacity shrunk by the neighbours' total load."""
@@ -295,10 +302,65 @@ def solve_coupled_loads(topology: Topology, allocation: np.ndarray, offered: np.
     monotone, so from l = 0 the iterates increase towards the least fixed
     point; if the max-norm change stays above ``tol`` after ``max_iter``
     rounds the last iterate is returned with converged=False.
+
+    The capacity is ``peak / denom`` with ``denom = 1 + coupling * (A @ row
+    sums of the loads)``. Round 1 starts from zero loads, so its denominator
+    is exactly 1 and its capacity is ``peak``. Loads lie in [0, 1], so every
+    denominator lies in [1, 1 + coupling * (K - 1) * N]. When that bound is
+    finite, no peak is +inf and every positive peak exceeds ``tiny`` times
+    the bound, a capacity is positive exactly where its peak is: the entries
+    served (traffic and positive capacity) are fixed for the whole solve,
+    and the others keep their round-1 value. Otherwise (a non-finite
+    coupling, or a peak so small that its capacity could round to zero)
+    every round checks the capacity's sign again. Both ways give the same
+    bits as the map applied round by round.
     """
-    adjacency = _adjacency(topology)
+    if max_iter < 1:
+        return np.zeros_like(offered, dtype=float), False, max_iter
     peak = _peak_capacity(topology, allocation)
     pos = offered > 0
+    served = pos & (peak > 0)
+    k, n = offered.shape
+    floor = _TINY * (1.0 + topology.coupling * ((k - 1) * n))
+    if not (floor < np.minimum.reduce(peak, None, None, None, False, np.inf, served)
+            and np.maximum.reduce(peak, None, None, None, False, -np.inf) < np.inf):
+        return _solve_checking_signs(topology, peak, offered, pos, tol, max_iter)
+    # round 1: 1 where there is traffic and 0 elsewhere, then min(1, offered
+    # / peak) where served; entries not served keep this value in both buffers
+    loads = pos.astype(float)
+    np.divide(offered, peak, loads, where=served)
+    np.minimum(loads, 1.0, out=loads)
+    # the change from zero loads is the loads themselves
+    delta = np.maximum.reduce(loads, None, None, None, False, 0.0)
+    if delta <= tol:
+        return loads, True, 1
+    adjacency = _adjacency(topology)
+    coupling = topology.coupling
+    nxt, cap, diff = loads.copy(), np.empty_like(loads), np.empty_like(loads)
+    total, denom = np.empty(k), np.empty(k)
+    column = denom[:, None]
+    for it in range(2, max_iter + 1):
+        np.add.reduce(loads, 1, None, total)
+        np.dot(adjacency, total, denom)
+        np.multiply(denom, coupling, denom)
+        np.add(denom, 1.0, denom)
+        np.divide(peak, column, cap)
+        np.divide(offered, cap, nxt, where=served)
+        np.minimum(nxt, 1.0, out=nxt)
+        # every operation of the map is monotone in floating point too, so
+        # the iterates never fall and the change is its own absolute value
+        delta = np.maximum.reduce(np.subtract(nxt, loads, diff), None, None, None, False, 0.0)
+        loads, nxt = nxt, loads
+        if delta <= tol:
+            return loads, True, it
+    return loads, False, max_iter
+
+
+def _solve_checking_signs(topology: Topology, peak: np.ndarray, offered: np.ndarray,
+                          pos: np.ndarray, tol: float,
+                          max_iter: int) -> tuple[np.ndarray, bool, int]:
+    """:func:`solve_coupled_loads` with the capacity's sign checked in every round."""
+    adjacency = _adjacency(topology)
     # every round starts from 1 where there is traffic and 0 elsewhere; the
     # divide then overwrites the entries with traffic and positive capacity
     saturated = pos.astype(float)
@@ -325,7 +387,8 @@ def compute_kpis(topology: Topology, allocation: np.ndarray, offered: np.ndarray
                  mask: tuple[float, ...] = ()) -> NetState:
     """Derive the observable KPIs from a solved load pattern.
 
-    ``users`` holds the (K, N) active-user counts. Served traffic is
+    ``users`` holds the (K, N) active-user counts. The state holds
+    ``loads`` and ``users`` themselves, not copies. Served traffic is
     min(offered, capacity); per-user throughput divides by the active-user
     count; delay follows an M/M/1-style congestion curve
     d_base / (1 - load). Idle slices report zero throughput and base delay.
@@ -338,8 +401,8 @@ def compute_kpis(topology: Topology, allocation: np.ndarray, offered: np.ndarray
     idle = users == 0
     throughput[idle] = 0.0
     delay[idle] = delay_base_s
-    return NetState(throughput=throughput, delay=delay, load=loads.copy(),
-                    users=users.copy(), t=t, fp_converged=fp_converged, mask=mask)
+    return NetState(throughput=throughput, delay=delay, load=loads, users=users, t=t,
+                    fp_converged=fp_converged, mask=mask)
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +455,7 @@ class SliceEnv:
 
     def __init__(self, scenario: Scenario, seed):
         self.scenario = scenario
+        self._demand = np.asarray(scenario.slices.demand_per_user)
         self._rng = np.random.default_rng(seed)
         self._positions: np.ndarray | None = None
         self.t = 0
@@ -434,7 +498,7 @@ class SliceEnv:
         self._positions = walk_users(self._rng, sc.topology, self._positions, sc.p_stay)
         mask = self._mask_values(self.t)
         users = self._count_users(mask)
-        offered = users * np.asarray(sc.slices.demand_per_user)
+        offered = users * self._demand
         loads, converged, _ = solve_coupled_loads(
             sc.topology, alloc, offered, tol=sc.fp_tol, max_iter=sc.fp_max_iter)
         return compute_kpis(sc.topology, alloc, offered, loads, users, self.t,

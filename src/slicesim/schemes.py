@@ -184,7 +184,7 @@ class CentralController(_LearningController):
     def record(self, prev, proposals, net):
         raw = reward_global(net, self.rewards)
         if self.kind == "cen_pen":
-            stored = reward_penalized(raw, penalty_gaps(proposals), self.rewards.beta)
+            stored = reward_penalized(raw, np.mean(penalty_gaps(proposals)), self.rewards.beta)
         else:
             stored = raw
         self.agent.buffer.add(Experience(

@@ -198,22 +198,22 @@ def test_rewards_stay_in_unit_interval():
 
 def test_penalty_zero_on_simplex():
     prop = np.array([[0.2, 0.5, 0.3], [0.0, 0.6, 0.4]])
-    assert reward_penalized(0.7, penalty_gaps(prop), beta=1.2) == pytest.approx(0.7)
+    assert reward_penalized(0.7, np.mean(penalty_gaps(prop)), beta=1.2) == pytest.approx(0.7)
 
 
 def test_penalty_overspend_single_cell():
     prop = np.array([0.25, 0.6, 0.4])  # sums to 1.25
-    assert reward_penalized(1.0, penalty_gaps(prop), beta=1.2) == pytest.approx(1.0 - 0.3)
+    assert reward_penalized(1.0, np.mean(penalty_gaps(prop)), beta=1.2) == pytest.approx(1.0 - 0.3)
 
 
 def test_penalty_underspend_absolute_form():
     prop = np.array([0.1, 0.4, 0.3])  # sums to 0.8
-    assert reward_penalized(1.0, penalty_gaps(prop), beta=1.2) == pytest.approx(1.0 - 0.24)
+    assert reward_penalized(1.0, np.mean(penalty_gaps(prop)), beta=1.2) == pytest.approx(1.0 - 0.24)
 
 
 def test_penalty_aggregation_modes():
     prop = np.array([[0.25, 0.6, 0.4], [0.2, 0.5, 0.3]])  # gaps 0.25 and 0
-    assert reward_penalized(1.0, penalty_gaps(prop), beta=1.2) == pytest.approx(1.0 - 0.15)
+    assert reward_penalized(1.0, np.mean(penalty_gaps(prop)), beta=1.2) == pytest.approx(1.0 - 0.15)
 
 
 def test_penalized_never_exceeds_raw_unsigned():
@@ -221,7 +221,7 @@ def test_penalized_never_exceeds_raw_unsigned():
     for _ in range(50):
         prop = rng.random((3, 3)) * 1.4
         raw = float(rng.random())
-        assert reward_penalized(raw, penalty_gaps(prop), beta=1.2) <= raw + 1e-12
+        assert reward_penalized(raw, np.mean(penalty_gaps(prop)), beta=1.2) <= raw + 1e-12
 
 
 def test_penalty_gaps_values():

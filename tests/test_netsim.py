@@ -1,5 +1,7 @@
 """Environment tests: masks, mobility, the coupled-load fixed point, KPIs."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -324,6 +326,22 @@ def kpi_inputs(load_value, users=4, lam_val=4e6, alloc_val=0.5):
     lam = np.array([[float(lam_val)]])
     loads = np.array([[float(load_value)]])
     return topo, alloc, lam, loads, np.array([[users]])
+
+
+@pytest.mark.parametrize("topo, offered, converged, iterations", [
+    (Topology.ring(3, B20, math.inf, 2.0), [[1e6, 3e7]] * 3, True, 2),
+    (Topology.ring(3, B20, math.nan, 2.0), [[1e6, 3e7]] * 3, True, 2),
+    (Topology.ring(1, B20, math.inf, 2.0), [[1e6, 3e7]], True, 2),
+    # infinite traffic over an infinite peak is not a number in odd rounds
+    (Topology.ring(3, math.inf, 0.3, 2.0), [[math.inf, 3e7]] * 3, False, 50),
+])
+def test_capacity_that_is_not_a_number_saturates(topo, offered, converged, iterations):
+    # the capacity is not positive, so every entry with traffic maps to 1
+    alloc = np.full((topo.cell_count, 3), [0.2, 0.4, 0.4])
+    with np.errstate(all="ignore"):
+        loads, ok, it = solve_coupled_loads(topo, alloc, np.array(offered), 1e-6, 50)
+    assert (ok, it) == (converged, iterations)
+    assert np.array_equal(loads, np.ones_like(loads))
 
 
 def test_delay_at_zero_load_is_base():

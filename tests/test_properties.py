@@ -1,9 +1,9 @@
 """Property tests for the core invariants: the action simplex, traffic-mask
 evaluation, the environment's user counts and monotonicity of the
 coupled-load fixed point; and exactness
-tests of the whole-array environment step, observations, messages and
-rewards against the per-element code they replaced, kept here as literal
-references.
+tests of the whole-array environment step, the load solve, the mask
+lookup, observations, messages and rewards against the code they
+replaced, kept here as literal references.
 
 ``derandomize=True`` makes hypothesis draw the same cases on every run, so
 the suite stays deterministic and its cost fixed.
@@ -12,6 +12,7 @@ the suite stays deterministic and its cost fixed.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -200,25 +201,108 @@ def reference_solve(topology, allocation, offered, tol, max_iter):
     return loads, False, max_iter
 
 
-@PROPERTY
-@given(topologies, st.integers(1, 3), st.sampled_from([1e-6, 1e-12, 0.0]), st.integers(1, 12),
-       st.data())
+# up to 30 cells; 8 slices or more reach numpy's pairwise sum of a row
+wide_topologies = st.builds(
+    lambda kind, cells, coupling: TOPOLOGY_BUILDERS[kind](cells, 20e6, coupling, 2.0),
+    st.sampled_from(["ring", "grid", "full"]), st.integers(1, 30), st.floats(0.0, 1.0))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(wide_topologies, st.integers(1, 9), st.sampled_from([1e-6, 1e-12, 0.0, 1.0]),
+       st.integers(0, 12), st.data())
 def test_solve_coupled_loads_matches_the_load_map_loop(topo, slices, tol, max_iter, data):
     k = topo.cell_count
+
+    def sparse(low, high):
+        # distinct values, so that the order of a row sum shows in its bits,
+        # with zeros at random entries
+        values = data.draw(hnp.arrays(float, (k, slices), elements=st.floats(low, high),
+                                      unique=True))
+        return np.where(data.draw(hnp.arrays(bool, (k, slices))), 0.0, values)
+
     # zero slice shares give zero capacity; zero entries give no traffic
-    share = data.draw(hnp.arrays(float, (k, slices),
-                                 elements=st.one_of(st.just(0.0), st.floats(0.01, 1.0))))
+    share = sparse(0.01, 1.0)
     headroom = data.draw(hnp.arrays(float, (k, 1), elements=st.floats(0.01, 1.0)))
     raw = np.concatenate([headroom, share], axis=1)
     alloc = raw / raw.sum(axis=1, keepdims=True)
-    offered = data.draw(hnp.arrays(float, (k, slices),
-                                   elements=st.one_of(st.just(0.0), st.floats(0.0, 40e6))))
-    # one round is a cut-off for every instance with traffic
+    # traffic up to twice the peak of an even split, so that loads short of
+    # 1 are common at every slice count
+    offered = sparse(0.0, 2 * 40e6 / (slices + 1))
+    # one round is a cut-off for every instance with traffic; a tolerance of
+    # 1 converges in round 1 and zero rounds return the zero loads
     for cut in (1, max_iter):
         loads, converged, iterations = solve_coupled_loads(topo, alloc, offered, tol, cut)
         ref_loads, ref_converged, ref_iterations = reference_solve(topo, alloc, offered, tol, cut)
         assert loads.tobytes() == ref_loads.tobytes()
         assert (converged, iterations) == (ref_converged, ref_iterations)
+
+
+def _raises_fp_error(solve):
+    with np.errstate(all="raise"):
+        try:
+            solve()
+        except FloatingPointError:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("topo, alloc, offered", [
+    # a positive peak whose capacity rounds to zero once the neighbours load
+    (Topology.ring(3, 1.0, 1.0, 1.0), [[0.5, 5e-324, 0.5], [0.2, 0.4, 0.4], [0.2, 0.4, 0.4]],
+     [[1e-320, 1e6], [1e6, 1e6], [1e6, 1e6]]),
+    # a coupling whose denominators overflow once the neighbours load
+    (Topology.ring(3, 20e6, 1e308, 2.0), [[0.2, 0.4, 0.4]] * 3, [[1e6, 3e7]] * 3),
+])
+def test_solve_coupled_loads_matches_the_load_map_loop_on_degenerate_inputs(topo, alloc, offered):
+    alloc, offered = np.array(alloc), np.array(offered)
+
+    def solve():
+        return solve_coupled_loads(topo, alloc, offered, 1e-6, 50)
+
+    def reference():
+        return reference_solve(topo, alloc, offered, 1e-6, 50)
+
+    # no floating-point error the load map itself does not raise
+    assert _raises_fp_error(solve) <= _raises_fp_error(reference)
+    with np.errstate(all="ignore"):
+        (loads, *rest), (ref_loads, *ref_rest) = solve(), reference()
+    assert loads.tobytes() == ref_loads.tobytes()
+    assert rest == ref_rest
+
+
+def reference_mask_value(mask, t):
+    """The ``np.searchsorted`` body ``TrafficMask.value`` replaced."""
+    pts = mask.breakpoints
+    if len(pts) == 1:
+        return pts[0][1]
+    tau = float(t) % mask.period
+    times = [p[0] for p in pts]
+    if tau < times[0]:
+        t0, v0 = pts[-1]
+        t1, v1 = pts[0]
+        t0 -= mask.period
+    else:
+        idx = int(np.searchsorted(times, tau, side="right")) - 1
+        t0, v0 = pts[idx]
+        if idx + 1 < len(pts):
+            t1, v1 = pts[idx + 1]
+        else:
+            t1, v1 = pts[0]
+            t1 += mask.period
+    if t1 == t0:
+        return v0
+    w = (tau - t0) / (t1 - t0)
+    return v0 + w * (v1 - v0)
+
+
+@PROPERTY
+@given(masks(), st.data())
+def test_mask_value_matches_the_searchsorted_lookup(mask, data):
+    # a breakpoint's own time sits on the boundary of two segments
+    times = [t for t, _ in mask.breakpoints]
+    t = data.draw(st.one_of(st.sampled_from(times), st.integers(0, 10 ** 6),
+                            st.floats(0.0, 1e6)))
+    assert mask.value(t).hex() == float(reference_mask_value(mask, t)).hex()
 
 
 def reference_reward_local(net, spec, k):

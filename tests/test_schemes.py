@@ -200,7 +200,8 @@ def test_cen_pen_stores_penalized_reward():
     net = make_net(sc)
     props, _ = ctl.act(net, "explore", 0)
     ctl.record(net, props, net)
-    expect = reward_penalized(reward_global(net, rewards), penalty_gaps(props), rewards.beta)
+    expect = reward_penalized(reward_global(net, rewards), np.mean(penalty_gaps(props)),
+                              rewards.beta)
     assert ctl.agent.buffer.peek(0).reward[0] == pytest.approx(expect)
 
 
