@@ -24,8 +24,7 @@ def _cmd_run(args) -> int:
                              seeds=args.seed or None, out_root=args.out)
     for s in results:
         print(f"{s['scheme']} seed {s['seed']}: eval_reward={_num(s['mean_eval_reward'])} "
-              f"eval_eta={_num(s['mean_eval_eta'])} violations={s['simplex_violations']} "
-              f"runtime={s['runtime_s']}s")
+              f"eval_eta={_num(s['mean_eval_eta'])} runtime={s['runtime_s']}s")
     return 0
 
 

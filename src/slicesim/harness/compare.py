@@ -58,7 +58,6 @@ def compare_runs(paths) -> dict:
         row = {"seeds": sorted(s["seed"] for s in group), "runs": len(group)}
         for key, label in TABLE_METRICS:
             row[label] = _median([s.get(key) for s in group])
-        row["simplex_violations_total"] = int(sum(s["simplex_violations"] for s in group))
         schemes[kind] = row
 
     ranking = sorted(schemes,
@@ -70,7 +69,7 @@ def compare_runs(paths) -> dict:
 def format_table(result: dict) -> str:
     """Plain-text table, one row per scheme, ordered by median eval reward."""
     labels = [label for _, label in TABLE_METRICS]
-    header = ["scheme", "runs"] + labels + ["violations"]
+    header = ["scheme", "runs"] + labels
     rows = [header]
     for kind in result["ranking"]:
         row = result["schemes"][kind]
@@ -78,7 +77,6 @@ def format_table(result: dict) -> str:
         for label in labels:
             v = row[label]
             cells.append("-" if v is None else f"{v:.4f}")
-        cells.append(str(row["simplex_violations_total"]))
         rows.append(cells)
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
     lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in rows]

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields as dc_fields
-
-import numpy as np
+import sys
+from dataclasses import dataclass, fields as dc_fields
 
 from ..mdp import REWARD_VARIANTS, RewardSpec, StateScaling
 from ..netsim import (
@@ -21,7 +20,6 @@ from ..netsim import (
     ConfigError,
     Scenario,
     SliceSpec,
-    Topology,
     TrafficMask,
 )
 from ..schemes import SCHEME_KINDS
@@ -85,9 +83,11 @@ def _number(section: dict, key: str, path: str, default=None, minimum=None, maxi
 
 
 def _checked_number(v, path: str, minimum=None, maximum=None):
-    """``v`` if it is a number (not a boolean) within the bounds."""
+    """``v`` if it is a finite number (not a boolean) within the bounds."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {type(v).__name__}")
+    if not abs(v) <= sys.float_info.max:  # NaN, the infinities, an int no float holds
+        raise ConfigError(f"{path}: must be a finite number")
     if minimum is not None and v < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}")
     if maximum is not None and v > maximum:
@@ -139,8 +139,7 @@ def parse_mask(obj, path: str) -> TrafficMask:
 
 def parse_scenario(obj, path: str = "scenario") -> Scenario:
     section = _check_section(obj, path, (
-        "topology", "cells", "bandwidth_hz", "coupling", "se_max", "slices", "p_stay",
-        "delay_base_s", "load_cap", "fp_tol", "fp_max_iter"))
+        "topology", "cells", "bandwidth_hz", "coupling", "se_max", "slices", "p_stay"))
     kind = str(section.get("topology", "ring"))
     if kind not in TOPOLOGY_BUILDERS:
         raise ConfigError(f"{path}.topology: unknown kind {kind!r} "
@@ -164,20 +163,14 @@ def parse_scenario(obj, path: str = "scenario") -> Scenario:
         dem.append(float(_number(s, "demand_per_user", sp, minimum=1e-9)))
         groups.append(_integer(s, "group_size_max", sp, minimum=1))
         masks.append(parse_mask(_require(s, "mask", sp), f"{sp}.mask"))
-    # an absent key takes the Scenario default
-    optional = {key: float(_number(section, key, path, minimum=low))
-                for key, low in (("p_stay", 0.0), ("delay_base_s", 1e-12),
-                                 ("load_cap", 1e-6), ("fp_tol", 1e-12))
-                if key in section}
-    if "fp_max_iter" in section:
-        optional["fp_max_iter"] = _integer(section, "fp_max_iter", path, minimum=1)
+    p_stay = float(_number(section, "p_stay", path, default=Scenario.p_stay, minimum=0.0))
     try:
         return Scenario(
             topology=topology,
             slices=SliceSpec(tuple(thr), tuple(dly), tuple(dem)),
             masks=tuple(masks),
             group_size_max=tuple(groups),
-            **optional,
+            p_stay=p_stay,
         )
     except ConfigError as e:
         raise ConfigError(f"{path}: {e}") from None

@@ -14,9 +14,10 @@ share averaged over cells), and the summary is built from those arrays.
 Rows stream to ``steps.csv.partial``, which becomes ``steps.csv`` only when
 the run completes, so a run that raises leaves neither ``steps.csv`` nor
 ``summary.json``, not even an earlier run's in the same directory (the
-partial file stays, ending where the run died). A learning scheme also
-saves its agent as ``checkpoints/agent.npz``, the arrays of
-``Td3Agent.state``.
+partial file stays, ending where the run died). An allocation off the
+per-cell simplex is such a failure: ``SliceEnv.step`` raises
+``ConstraintViolationError`` for it. A learning scheme also saves its agent
+as ``checkpoints/agent.npz``, the arrays of ``Td3Agent.state``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from ..mdp import penalty_gaps, reward_global, reward_penalized
-from ..netsim import SIMPLEX_ATOL, SliceEnv
+from ..netsim import SliceEnv
 from ..schemes import build_scheme
 from .config import ExperimentConfig, parse_scheme_kinds, parse_seeds
 from .metrics import mask_correlation, resource_efficiency, steps_to_fraction_of_final
@@ -75,7 +76,6 @@ def run_single(cfg: ExperimentConfig, kind: str, seed: int, out_dir) -> dict:
     # summed over cells, except the allocation share, a mean over cells
     raw, pen_reward, penalty, eta_mean = (np.empty(plan.total) for _ in range(4))
     served, users, delay_w, share, mask = (np.empty((plan.total, n)) for _ in range(5))
-    violations = 0
     nonconverged = 0
 
     state = env.reset()
@@ -86,9 +86,6 @@ def run_single(cfg: ExperimentConfig, kind: str, seed: int, out_dir) -> dict:
         for step in range(plan.total):
             phase = plan.phase_of(step)
             proposals, alloc = controller.act(state, phase, step)
-            gap = np.abs(alloc.sum(axis=1) - 1.0).max()
-            if gap > SIMPLEX_ATOL or (alloc < -SIMPLEX_ATOL).any():
-                violations += 1
             nxt = env.step(alloc)
             if not nxt.fp_converged:
                 nonconverged += 1
@@ -137,7 +134,7 @@ def run_single(cfg: ExperimentConfig, kind: str, seed: int, out_dir) -> dict:
         "mean_eval_reward": eval_mean(raw),
         "mean_eval_reward_penalized": eval_mean(pen_reward),
         "mean_eval_eta": eval_mean(eta_mean),
-        "simplex_violations": violations,
+        "simplex_violations": 0,  # env.step raises on an off-simplex allocation
         "fp_nonconverged_steps": nonconverged,
         "param_count": int(controller.param_count()),
         "total_param_count": int(controller.total_param_count()),

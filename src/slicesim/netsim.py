@@ -381,9 +381,14 @@ def _solve_checking_signs(topology: Topology, peak: np.ndarray, offered: np.ndar
     return loads, False, max_iter
 
 
+# the delay curve: an idle or unloaded slice's delay (s), and the load at
+# which the curve is capped, so that a saturated slice's delay stays finite
+DELAY_BASE_S = 5e-4
+LOAD_CAP = 0.99
+
+
 def compute_kpis(topology: Topology, allocation: np.ndarray, offered: np.ndarray,
-                 loads: np.ndarray, users: np.ndarray, t: int, delay_base_s: float,
-                 load_cap: float, fp_converged: bool = True,
+                 loads: np.ndarray, users: np.ndarray, t: int, fp_converged: bool = True,
                  mask: tuple[float, ...] = ()) -> NetState:
     """Derive the observable KPIs from a solved load pattern.
 
@@ -391,16 +396,17 @@ def compute_kpis(topology: Topology, allocation: np.ndarray, offered: np.ndarray
     ``loads`` and ``users`` themselves, not copies. Served traffic is
     min(offered, capacity); per-user throughput divides by the active-user
     count; delay follows an M/M/1-style congestion curve
-    d_base / (1 - load). Idle slices report zero throughput and base delay.
+    ``DELAY_BASE_S / (1 - min(load, LOAD_CAP))``. Idle slices report zero
+    throughput and the base delay.
     """
     cap = _capacity(_adjacency(topology), topology.coupling,
                     _peak_capacity(topology, allocation), loads)
     served = np.minimum(offered, cap)
     throughput = served / np.maximum(users, 1)
-    delay = delay_base_s / (1.0 - np.minimum(loads, load_cap))
+    delay = DELAY_BASE_S / (1.0 - np.minimum(loads, LOAD_CAP))
     idle = users == 0
     throughput[idle] = 0.0
-    delay[idle] = delay_base_s
+    delay[idle] = DELAY_BASE_S
     return NetState(throughput=throughput, delay=delay, load=loads, users=users, t=t,
                     fp_converged=fp_converged, mask=mask)
 
@@ -419,10 +425,6 @@ class Scenario:
     masks: tuple[TrafficMask, ...]
     group_size_max: tuple[int, ...]
     p_stay: float = 0.8
-    delay_base_s: float = 5e-4
-    load_cap: float = 0.99
-    fp_tol: float = 1e-6
-    fp_max_iter: int = 1000
 
     def __post_init__(self):
         n = self.slices.slice_count
@@ -432,10 +434,6 @@ class Scenario:
             raise ConfigError("group sizes must be positive")
         if not 0.0 <= self.p_stay <= 1.0:
             raise ConfigError("p_stay must lie in [0, 1]")
-        if not 0.0 < self.load_cap < 1.0:
-            raise ConfigError("load_cap must lie in (0, 1)")
-        if self.delay_base_s <= 0:
-            raise ConfigError("delay_base_s must be positive")
 
     @property
     def cell_count(self) -> int:
@@ -481,7 +479,7 @@ class SliceEnv:
             0, sc.cell_count, size=(sc.slice_count, max(sc.group_size_max)))
         mask = self._mask_values(0)
         shape = (sc.cell_count, sc.slice_count)
-        return NetState(throughput=np.zeros(shape), delay=np.full(shape, sc.delay_base_s),
+        return NetState(throughput=np.zeros(shape), delay=np.full(shape, DELAY_BASE_S),
                         load=np.zeros(shape), users=self._count_users(mask), t=0, mask=mask)
 
     def step(self, allocation: np.ndarray) -> NetState:
@@ -499,7 +497,6 @@ class SliceEnv:
         mask = self._mask_values(self.t)
         users = self._count_users(mask)
         offered = users * self._demand
-        loads, converged, _ = solve_coupled_loads(
-            sc.topology, alloc, offered, tol=sc.fp_tol, max_iter=sc.fp_max_iter)
+        loads, converged, _ = solve_coupled_loads(sc.topology, alloc, offered)
         return compute_kpis(sc.topology, alloc, offered, loads, users, self.t,
-                            sc.delay_base_s, sc.load_cap, fp_converged=converged, mask=mask)
+                            fp_converged=converged, mask=mask)

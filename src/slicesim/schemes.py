@@ -37,7 +37,6 @@ from .netsim import ConfigError, NetState, Scenario
 from .td3 import AgentHyperParams, Experience, Td3Agent, Td3Config
 
 SCHEME_KINDS = ("cen_pen", "cen_soft", "dist", "dist_comm", "baseline", "static_default")
-PHASES = ("explore", "train", "eval")
 
 
 class Controller:
@@ -46,10 +45,8 @@ class Controller:
     kind: str = "?"
     trains = False
 
-    def __init__(self, scenario: Scenario, rewards: RewardSpec, scaling: StateScaling):
+    def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self.rewards = rewards
-        self.scaling = scaling
 
     def act(self, net: NetState, phase: str, step: int) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
@@ -70,8 +67,8 @@ class StaticController(Controller):
 
     kind = "static_default"
 
-    def __init__(self, scenario, rewards, scaling, allocation_row):
-        super().__init__(scenario, rewards, scaling)
+    def __init__(self, scenario, allocation_row):
+        super().__init__(scenario)
         row = np.asarray(allocation_row, dtype=float)
         if row.shape != (scenario.slice_count + 1,):
             raise ConfigError("static allocation must have one entry per slice plus headroom")
@@ -129,7 +126,9 @@ class _LearningController(Controller):
     trains = True
 
     def __init__(self, scenario, rewards, scaling, agent: Td3Agent, anneal_steps: int):
-        super().__init__(scenario, rewards, scaling)
+        super().__init__(scenario)
+        self.rewards = rewards
+        self.scaling = scaling
         self.agent = agent
         self.anneal_steps = anneal_steps
         self._memo: tuple[NetState, np.ndarray] | None = None
@@ -242,9 +241,9 @@ def build_scheme(kind: str, scenario: Scenario, rewards: RewardSpec,
         if static_allocation is None:
             n = scenario.slice_count
             static_allocation = [0.0, 0.8] + [0.2 / (n - 1)] * (n - 1) if n > 1 else [0.2, 0.8]
-        return StaticController(scenario, rewards, scaling, static_allocation)
+        return StaticController(scenario, static_allocation)
     if kind == "baseline":
-        return BaselineController(scenario, rewards, scaling)
+        return BaselineController(scenario)
     if kind in ("cen_pen", "cen_soft"):
         return CentralController(scenario, rewards, scaling, hyper, rng, kind, anneal_steps)
     if kind in ("dist", "dist_comm"):

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import re
 from pathlib import Path
 
@@ -17,8 +18,9 @@ from slicesim.harness.gridsearch import evaluate_static, grid_search, simplex_gr
 from slicesim.harness.metrics import (mask_correlation, resource_efficiency, smooth,
                                       steps_to_fraction_of_final)
 from slicesim.harness.runner import csv_header, run_experiment, run_single
-from slicesim.mdp import RewardSpec
-from slicesim.netsim import ConfigError, NetState, Topology, TrafficMask
+from slicesim import netsim
+from slicesim.netsim import (ConfigError, ConstraintViolationError, NetState, Topology,
+                             TrafficMask)
 from slicesim.schemes import BaselineController, build_scheme
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -81,9 +83,7 @@ def test_omitted_optional_fields_take_their_defaults():
     del data["scenario"]["p_stay"]
     del data["phases"]
     cfg = parse_config(data)
-    sc = cfg.scenario
-    assert (sc.p_stay, sc.delay_base_s, sc.load_cap, sc.fp_tol, sc.fp_max_iter) == (
-        0.8, 5e-4, 0.99, 1e-6, 1000)
+    assert cfg.scenario.p_stay == 0.8
     assert cfg.rewards.beta == 1.2
     assert cfg.phases == PhasePlan(explore=2500, train=10000, eval=2500)
     data["phases"] = {"train": 7}
@@ -144,6 +144,11 @@ def _set_path(data, path, value):
     "scheme.signed_penalty",
     "scheme.penalty_aggregate",
     "scenario.fp_tl",
+    # fixed constants of netsim, no longer scenario fields
+    "scenario.delay_base_s",
+    "scenario.load_cap",
+    "scenario.fp_tol",
+    "scenario.fp_max_iter",
     "scenario.slices[0].delay_rq",
     "scenario.slices[1].mask.perod",
     "phases.evl",
@@ -157,6 +162,16 @@ def test_unknown_config_key_rejected_with_dotted_path(path):
         parse_config(data)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-6])
+def test_non_positive_fp_tol_rejected(tol):
+    # fp_tol is a fixed default of the solve now: a config that sets it at all,
+    # and so one that sets it to a non-positive value, is refused
+    data = tiny_config_data()
+    data["scenario"]["fp_tol"] = tol
+    with pytest.raises(ConfigError, match=r"scenario\.fp_tol: unknown field"):
+        parse_config(data)
+
+
 def test_removed_reward_variant_rejected():
     data = tiny_config_data()
     data["scheme"]["reward_variant"] = "penalized"
@@ -164,12 +179,36 @@ def test_removed_reward_variant_rejected():
         parse_config(data)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-6])
-def test_non_positive_fp_tol_rejected(tol):
+# numbers that json parses but no config may hold: NaN, the infinities, and
+# an integer too large for a float (which overflows where it is converted)
+NON_FINITE = [
+    ("scenario.coupling", math.nan),
+    ("scenario.bandwidth_hz", math.inf),
+    ("scenario.bandwidth_hz", 10 ** 400),
+    ("scenario.slices[0].throughput_req", math.inf),
+    ("scenario.slices[0].mask.period", math.inf),
+    ("scenario.slices[1].mask.breakpoints[0][0]", math.nan),
+    ("scheme.beta", math.inf),
+    ("scheme.static_allocation[1]", math.nan),
+    ("agent.actor_lr", math.nan),
+    ("agent.gamma", math.nan),
+    ("agent.batch_size", math.inf),
+    ("phases.train", -math.inf),
+]
+
+
+def _non_finite_config(path, value):
     data = tiny_config_data()
-    data["scenario"]["fp_tol"] = tol
-    with pytest.raises(ConfigError, match=r"scenario\.fp_tol"):
-        parse_config(data)
+    data["scheme"]["static_allocation"] = [0.0, 0.5, 0.5]
+    data["agent"] = {"actor_lr": 1e-3, "gamma": 0.1, "batch_size": 4}
+    _set_path(data, path, value)
+    return data
+
+
+@pytest.mark.parametrize("path, value", NON_FINITE)
+def test_non_finite_number_rejected_with_dotted_path(path, value):
+    with pytest.raises(ConfigError, match=re.escape(path) + ": must be a finite number"):
+        parse_config(_non_finite_config(path, value))
 
 
 def test_agent_fractions_at_their_bounds_accepted():
@@ -469,14 +508,61 @@ def test_failed_run_leaves_no_steps_csv_or_summary(tmp_path, monkeypatch):
     cfg = parse_config(tiny_config_data())
     run_single(cfg, "baseline", 0, tmp_path)  # an earlier run's results, to be cleared
     monkeypatch.setattr(runner, "build_scheme",
-                        lambda kind, sc, rewards, scaling, *_, **__:
-                        _ActFailsAtStep5(sc, rewards, scaling))
+                        lambda kind, sc, *_, **__: _ActFailsAtStep5(sc))
     with pytest.raises(RuntimeError, match="step 5"):
         run_single(cfg, "baseline", 1, tmp_path)
     assert not (tmp_path / "steps.csv").exists()
     assert not (tmp_path / "summary.json").exists()
     # the rows written before the failure stay in the partial file
     assert len((tmp_path / "steps.csv.partial").read_text().splitlines()) == 1 + 5
+
+
+class _ActsOffSimplex(BaselineController):
+    def act(self, net, phase, step):
+        proposals, alloc = super().act(net, phase, step)
+        alloc[0, 1] += 1e-6
+        return proposals, alloc
+
+
+def test_off_simplex_allocation_ends_the_run(tmp_path, monkeypatch):
+    cfg = load_config(CONFIG_DIR / "toy.json")
+    run_single(cfg, "baseline", 0, tmp_path)  # an earlier run's results, to be cleared
+    monkeypatch.setattr(runner, "build_scheme", lambda kind, sc, *_, **__: _ActsOffSimplex(sc))
+    with pytest.raises(ConstraintViolationError, match="off simplex"):
+        run_single(cfg, "baseline", 1, tmp_path)
+    assert not (tmp_path / "steps.csv").exists()
+    assert not (tmp_path / "summary.json").exists()
+    # the first step's allocation was refused, so only the header was written
+    assert (tmp_path / "steps.csv.partial").read_text().count("\n") == 1
+
+
+def test_subnormal_static_share_runs_through_the_sign_checking_solve(tmp_path, monkeypatch):
+    # a peak capacity of 5e-324 bit/s lies below the floor under which the
+    # solve cannot tell a positive capacity from one that rounds to zero once
+    # neighbours load, so every round checks the capacity's sign
+    data = tiny_config_data(phases=(3, 3, 3), cells=3)
+    data["scenario"].update(bandwidth_hz=1.0, se_max=1.0, coupling=1.0)
+    data["scheme"]["static_allocation"] = [0.0, 1.0, 5e-324]
+    cfg = parse_config(data)
+    calls = []
+    checking = netsim._solve_checking_signs
+
+    def counting(*args):
+        calls.append(1)
+        return checking(*args)
+
+    monkeypatch.setattr(netsim, "_solve_checking_signs", counting)
+    with np.errstate(over="ignore"):  # offered / 5e-324 is inf, which saturates to 1
+        summary = run_single(cfg, "static_default", 0, tmp_path)
+    assert len(calls) == cfg.phases.total
+    assert math.isfinite(summary["mean_eval_reward"])
+    lines = (tmp_path / "steps.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    for line in lines[1:]:
+        row = dict(zip(header, line.split(",")))
+        for col, v in row.items():
+            if col not in ("phase", "critic_loss", "actor_objective"):
+                assert math.isfinite(float(v)), (col, v)
 
 
 def test_one_eval_step_run_writes_results_without_correlation(tmp_path):
@@ -661,6 +747,16 @@ def test_cli_validate_reports_a_null_breakpoint(tmp_path, capsys):
     assert main(["validate", "--config", str(cfg_path)]) == 2
     assert "scenario.slices[0].mask.breakpoints[0][0]: expected a number" in (
         capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("path, value", NON_FINITE)
+def test_cli_validate_reports_a_non_finite_number(tmp_path, capsys, path, value):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(_non_finite_config(path, value)))
+    assert main(["validate", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: must be a finite number\n"
 
 
 def test_cli_validate_missing_file(capsys):

@@ -346,32 +346,32 @@ def test_capacity_that_is_not_a_number_saturates(topo, offered, converged, itera
 
 def test_delay_at_zero_load_is_base():
     topo, alloc, lam, loads, users = kpi_inputs(0.0)
-    st = compute_kpis(topo, alloc, lam, loads, users, t=1, delay_base_s=5e-4, load_cap=0.99)
+    st = compute_kpis(topo, alloc, lam, loads, users, t=1)
     assert st.delay[0, 0] == pytest.approx(5e-4)
 
 
 def test_delay_at_half_load_doubles():
     topo, alloc, lam, loads, users = kpi_inputs(0.5)
-    st = compute_kpis(topo, alloc, lam, loads, users, t=1, delay_base_s=5e-4, load_cap=0.99)
+    st = compute_kpis(topo, alloc, lam, loads, users, t=1)
     assert st.delay[0, 0] == pytest.approx(1.0e-3)
 
 
 def test_delay_capped_near_saturation():
     topo, alloc, lam, loads, users = kpi_inputs(1.0)
-    st = compute_kpis(topo, alloc, lam, loads, users, t=1, delay_base_s=5e-4, load_cap=0.99)
+    st = compute_kpis(topo, alloc, lam, loads, users, t=1)
     assert st.delay[0, 0] == pytest.approx(5e-4 / 0.01)
 
 
 def test_uncongested_serves_all_demand():
     # capacity 0.5 * 20e6 * 2 = 20e6 > lam = 4e6 -> everything served
     topo, alloc, lam, loads, users = kpi_inputs(0.2, users=4, lam_val=4e6)
-    st = compute_kpis(topo, alloc, lam, loads, users, t=1, delay_base_s=5e-4, load_cap=0.99)
+    st = compute_kpis(topo, alloc, lam, loads, users, t=1)
     assert st.throughput[0, 0] * users[0, 0] == pytest.approx(4e6)
 
 
 def test_idle_slice_kpi_convention():
     topo, alloc, lam, loads, users = kpi_inputs(0.4, users=0, lam_val=0.0)
-    st = compute_kpis(topo, alloc, lam, loads, users, t=1, delay_base_s=5e-4, load_cap=0.99)
+    st = compute_kpis(topo, alloc, lam, loads, users, t=1)
     assert st.throughput[0, 0] == 0.0
     assert st.delay[0, 0] == pytest.approx(5e-4)
 
@@ -384,7 +384,7 @@ def test_served_traffic_conservation():
     lam = rng.random((3, 2)) * 25e6
     loads, _, _ = solve_coupled_loads(topo, alloc, lam)
     users = rng.integers(1, 8, size=(3, 2))
-    st = compute_kpis(topo, alloc, lam, loads, users, t=3, delay_base_s=5e-4, load_cap=0.99)
+    st = compute_kpis(topo, alloc, lam, loads, users, t=3)
     served = st.throughput * users
     # on a 3-ring every cell neighbours the other two
     neighbour_load = loads.sum() - loads.sum(axis=1)

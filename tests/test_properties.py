@@ -3,13 +3,22 @@ evaluation, the environment's user counts and monotonicity of the
 coupled-load fixed point; and exactness
 tests of the whole-array environment step, the load solve, the mask
 lookup, observations, messages and rewards against the code they
-replaced, kept here as literal references.
+replaced, kept here as literal references. Last, configs with one or two
+leaves replaced by a degenerate value (NaN, an infinity, zero, a negative,
+a boolean, a subnormal, an empty list, a wrong type) must either be
+rejected with the path of a replaced leaf or run every scheme to finite
+rewards and KPIs.
 
 ``derandomize=True`` makes hypothesis draw the same cases on every run, so
 the suite stays deterministic and its cost fixed.
 """
 
+import copy
+import csv
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +26,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from slicesim.harness.config import parse_config
+from slicesim.harness.runner import run_single
 from slicesim.mdp import (
     RewardSpec,
     StateScaling,
@@ -29,6 +40,7 @@ from slicesim.mdp import (
 )
 from slicesim.netsim import (
     SIMPLEX_ATOL,
+    ConfigError,
     TOPOLOGY_BUILDERS,
     NetState,
     Scenario,
@@ -39,6 +51,7 @@ from slicesim.netsim import (
     solve_coupled_loads,
     walk_users,
 )
+from slicesim.schemes import SCHEME_KINDS
 
 PROPERTY = settings(max_examples=60, derandomize=True, deadline=None)
 
@@ -418,3 +431,95 @@ def test_messages_match_the_per_cell_mean(observed):
     want = np.stack([reference_extract_message(net, topo, k) for k in range(topo.cell_count)])
     assert got.shape == want.shape == (topo.cell_count, net.slice_count)
     assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# mutated configs: a clean ConfigError or a run with finite numbers
+# ---------------------------------------------------------------------------
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SHORT = {"explore": 3, "train": 3, "eval": 3}
+
+
+def toy_data():
+    data = json.loads((CONFIGS / "toy.json").read_text())
+    data.update(phases=dict(SHORT), agent={"batch_size": 2})
+    return data
+
+
+def grid12_data():
+    """The golden tests' 12-cell grid on a short plan."""
+    data = json.loads((CONFIGS / "reference.json").read_text())
+    data["scenario"].update(topology="grid", cells=12, coupling=0.15)
+    for s in data["scenario"]["slices"]:
+        s["group_size_max"] = 24
+    data.update(phases=dict(SHORT))
+    data["agent"]["batch_size"] = 2
+    return data
+
+
+def leaves(node, path=""):
+    """(dotted path, key chain) of every scalar in a JSON tree."""
+    if isinstance(node, dict):
+        items = [(f"{path}.{k}" if path else k, k, v) for k, v in node.items()]
+    elif isinstance(node, list):
+        items = [(f"{path}[{i}]", i, v) for i, v in enumerate(node)]
+    else:
+        return [(path, ())]
+    return [(p, (key, *chain)) for sub, key, v in items for p, chain in leaves(v, sub)]
+
+
+# every replacement is small, so no draw can ask for a huge topology, user
+# group, network or plan; the zeros and the subnormal, which many leaves
+# accept, are drawn half the time, so that enough drawn configs parse and run
+ACCEPTABLE = [0, 0.0, -0.0, 5e-324]
+REPLACEMENTS = st.one_of(
+    st.sampled_from(ACCEPTABLE),
+    st.sampled_from([math.nan, math.inf, -math.inf, -1, -0.5, True, False, [], {}, None, "x"]))
+
+
+def mutated(base):
+    paths = leaves(base)
+    return st.tuples(st.lists(st.sampled_from(paths), min_size=1, max_size=2, unique=True),
+                     st.lists(REPLACEMENTS, min_size=2, max_size=2))
+
+
+def names_a_mutated_path(message, paths):
+    where = message.split(": ", 1)[0]
+    return any(p == where or p.startswith((where + ".", where + "[")) for p in paths)
+
+
+def check_mutated_config(base, picks, values):
+    data = copy.deepcopy(base)
+    for (_, chain), value in zip(picks, values):
+        node = data
+        for key in chain[:-1]:
+            node = node[key]
+        node[chain[-1]] = value
+    paths = [p for p, _ in picks]
+    try:
+        cfg = parse_config(data)
+    except ConfigError as e:
+        assert names_a_mutated_path(str(e), paths), (str(e), paths)
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        for kind in SCHEME_KINDS:
+            run_single(cfg, kind, 0, Path(tmp) / kind)
+            with open(Path(tmp) / kind / "steps.csv", newline="") as fh:
+                for row in csv.DictReader(fh):
+                    for col, v in row.items():
+                        # losses are NaN on steps that do not train
+                        if col not in ("phase", "critic_loss", "actor_objective"):
+                            assert math.isfinite(float(v)), (kind, paths, col, v)
+
+
+@PROPERTY
+@given(mutated(toy_data()))
+def test_mutated_toy_config_is_rejected_by_path_or_runs_finite(mutation):
+    check_mutated_config(toy_data(), *mutation)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(mutated(grid12_data()))
+def test_mutated_grid_config_is_rejected_by_path_or_runs_finite(mutation):
+    check_mutated_config(grid12_data(), *mutation)
