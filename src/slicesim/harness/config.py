@@ -22,7 +22,7 @@ from ..netsim import (
     SliceSpec,
     TrafficMask,
 )
-from ..schemes import SCHEME_KINDS
+from ..schemes import SCHEME_KINDS, static_allocation_row
 from ..td3 import AgentHyperParams
 
 
@@ -267,8 +267,11 @@ def parse_config(data: dict) -> ExperimentConfig:
         if not isinstance(static, list) or len(static) != scenario.slice_count + 1:
             raise ConfigError("scheme.static_allocation: expected one entry per slice "
                               "plus headroom")
-        static = tuple(float(_checked_number(x, f"scheme.static_allocation[{i}]"))
-                       for i, x in enumerate(static))
+        for i, x in enumerate(static):
+            _checked_number(x, f"scheme.static_allocation[{i}]")
+        # the check the static scheme makes when it is built, so validate catches it
+        static = tuple(static_allocation_row(static, scenario.slice_count,
+                                             "scheme.static_allocation").tolist())
 
     hyper = parse_hyper(data.get("agent"))
 

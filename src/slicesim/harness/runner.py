@@ -108,8 +108,12 @@ def run_single(cfg: ExperimentConfig, kind: str, seed: int, out_dir) -> dict:
             share[step] = np.add.reduce(alloc[:, 1:], 0) / k
 
             # mean over agents; with one agent this is its own value, exactly
-            critic = float(np.mean(diag.critic_loss)) if diag else float("nan")
-            actor = float(np.mean(diag.actor_objective)) if diag else float("nan")
+            if diag:
+                agents = diag.critic_loss.size
+                critic = float(np.add.reduce(diag.critic_loss) / agents)
+                actor = float(np.add.reduce(diag.actor_objective) / agents)
+            else:
+                critic = actor = float("nan")
             head = (f"{step},{phase},{reward!r},{reward_pen!r},{mean_gap!r},{critic!r},{actor!r},"
                     f"{1 if nxt.fp_converged else 0}")
             floats = np.concatenate([mask[step], eta, nxt.throughput, nxt.delay, nxt.load],

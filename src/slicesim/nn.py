@@ -70,10 +70,10 @@ def decoupled_softmax(raw: np.ndarray, block_size: int) -> np.ndarray:
     if x.shape[-1] % block_size:
         raise ValueError("last axis not divisible by block_size")
     blocks = x.reshape(x.shape[:-1] + (-1, block_size))
-    shifted = blocks - blocks.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
-    return out.reshape(x.shape)
+    e = blocks - np.maximum.reduce(blocks, -1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, -1, keepdims=True)
+    return e.reshape(x.shape)
 
 
 @dataclass
@@ -118,6 +118,10 @@ class Mlp:
             off += fout
         if off != flat.shape[-1]:
             raise ValueError("flat parameter size does not match the spec")
+        # further views the passes read on every call: the transposed weights
+        # and the biases as one broadcast row per member
+        self._weights_t = [w.swapaxes(-1, -2) for w in self.weights]
+        self._bias_rows = [b[..., None, :] for b in self.biases]
 
     @staticmethod
     def from_flat(spec: MlpSpec, flat: np.ndarray) -> "Mlp":
@@ -170,9 +174,9 @@ class Mlp:
         """Pre-head output of the final layer."""
         h, single = self._as_batch(x)
         last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for i, (w, b) in enumerate(zip(self.weights, self._bias_rows)):
             h = h @ w
-            h += b[..., None, :]
+            h += b
             if i < last:
                 np.maximum(h, 0.0, out=h)
         return h[..., 0, :] if single else h
@@ -185,9 +189,9 @@ class Mlp:
         h, single = self._as_batch(x)
         acts, zs = [h], []
         last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for i, (w, b) in enumerate(zip(self.weights, self._bias_rows)):
             z = acts[-1] @ w
-            z += b[..., None, :]
+            z += b
             zs.append(z)
             if i < last:
                 acts.append(np.maximum(z, 0.0))
@@ -204,30 +208,51 @@ class Mlp:
         bs = self.spec.block_size
         yb = y.reshape(y.shape[:-1] + (-1, bs))
         gb = gy.reshape(gy.shape[:-1] + (-1, bs))
-        gz = yb * (gb - (gb * yb).sum(axis=-1, keepdims=True))
+        gz = yb * (gb - np.add.reduce(gb * yb, -1, keepdims=True))
         return gz.reshape(gy.shape)
 
+    def _head_grad(self, cache: _Cache, grad_out) -> tuple[np.ndarray, bool]:
+        """dL/dz of the final layer from dL/dy, as a batch."""
+        gy = np.asarray(grad_out, dtype=float)
+        single = gy.ndim == self.flat.ndim
+        if single:
+            gy = gy[..., None, :]
+        return self._head_backward(gy, cache.y), single
+
     def backward(self, cache: _Cache, grad_out,
-                 out: np.ndarray | None = None) -> tuple[list[np.ndarray], np.ndarray]:
+                 out: "np.ndarray | Mlp | None" = None) -> tuple[list[np.ndarray], np.ndarray]:
         """Gradients for a scalar loss given dL/dy (batch-summed).
 
         Returns (param_grads in parameters() order, dL/dx). The parameter
         gradients are views into one array shaped like ``flat``: ``out``
         when given, so a caller can reuse one buffer, else a new array.
+        ``out`` may also be an ``Mlp`` of this spec bound to that buffer
+        (``Mlp.from_flat``), which saves rebuilding its views on every call.
         """
-        gy = np.asarray(grad_out, dtype=float)
-        single = gy.ndim == self.flat.ndim
-        if single:
-            gy = gy[..., None, :]
-        g = self._head_backward(gy, cache.y)
-        grad = Mlp.from_flat(self.spec, np.empty_like(self.flat) if out is None else out)
-        for i in range(len(self.weights) - 1, -1, -1):
-            np.matmul(np.swapaxes(cache.acts[i], -1, -2), g, out=grad.weights[i])
-            np.sum(g, axis=-2, out=grad.biases[i])
-            g = g @ np.swapaxes(self.weights[i], -1, -2)
+        g, single = self._head_grad(cache, grad_out)
+        if isinstance(out, Mlp):
+            grad = out
+        else:
+            grad = Mlp.from_flat(self.spec, np.empty_like(self.flat) if out is None else out)
+        acts, zs, weights_t = cache.acts, cache.zs, self._weights_t
+        for i in range(len(weights_t) - 1, -1, -1):
+            np.matmul(acts[i].swapaxes(-1, -2), g, out=grad.weights[i])
+            np.add.reduce(g, -2, out=grad.biases[i])
+            g = g @ weights_t[i]
             if i > 0:
-                g *= cache.zs[i - 1] > 0.0
+                g *= zs[i - 1] > 0.0
         return grad.parameters(), (g[..., 0, :] if single else g)
+
+    def input_grad(self, cache: _Cache, grad_out) -> np.ndarray:
+        """dL/dx alone: ``backward``'s second output, the same bits, without
+        computing any parameter gradient."""
+        g, single = self._head_grad(cache, grad_out)
+        zs, weights_t = cache.zs, self._weights_t
+        for i in range(len(weights_t) - 1, -1, -1):
+            g = g @ weights_t[i]
+            if i > 0:
+                g *= zs[i - 1] > 0.0
+        return g[..., 0, :] if single else g
 
     # -- parameter plumbing ---------------------------------------------------
 
@@ -271,7 +296,9 @@ class Adam:
         if not param.shape == grad.shape == self.m.shape:
             raise ValueError(f"gradient shape {grad.shape} does not match parameter shape "
                              f"{param.shape} (optimizer state {self.m.shape})")
-        if not np.isfinite(grad).all():
+        # any NaN or infinity makes the sum non-finite; only then (or when a
+        # finite sum overflows) is every entry looked at
+        if not np.isfinite(np.add.reduce(grad, axis=None)) and not np.isfinite(grad).all():
             raise FloatingPointError("non-finite gradient passed to Adam")
         self.t += 1
         c1 = 1.0 - ADAM_BETA1 ** self.t

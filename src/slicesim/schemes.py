@@ -33,7 +33,7 @@ from .mdp import (
     reward_local,
     reward_penalized,
 )
-from .netsim import ConfigError, NetState, Scenario
+from .netsim import SIMPLEX_ATOL, ConfigError, NetState, Scenario
 from .td3 import AgentHyperParams, Experience, Td3Agent, Td3Config
 
 SCHEME_KINDS = ("cen_pen", "cen_soft", "dist", "dist_comm", "baseline", "static_default")
@@ -62,6 +62,19 @@ class Controller:
         return 0
 
 
+def static_allocation_row(allocation_row, slice_count: int,
+                          path: str = "static allocation") -> np.ndarray:
+    """The row as a float array, checked to hold one entry per slice plus
+    headroom and to lie on the simplex: no negative entry, and a sum within
+    ``SIMPLEX_ATOL`` of 1. ``path`` names the row in the ``ConfigError``."""
+    row = np.asarray(allocation_row, dtype=float)
+    if row.shape != (slice_count + 1,):
+        raise ConfigError(f"{path}: expected one entry per slice plus headroom")
+    if (row < 0).any() or abs(row.sum() - 1.0) > SIMPLEX_ATOL:
+        raise ConfigError(f"{path}: must lie on the simplex")
+    return row
+
+
 class StaticController(Controller):
     """Fixed allocation, identical in every cell, never learns."""
 
@@ -69,12 +82,7 @@ class StaticController(Controller):
 
     def __init__(self, scenario, allocation_row):
         super().__init__(scenario)
-        row = np.asarray(allocation_row, dtype=float)
-        if row.shape != (scenario.slice_count + 1,):
-            raise ConfigError("static allocation must have one entry per slice plus headroom")
-        if (row < 0).any() or abs(row.sum() - 1.0) > 1e-9:
-            raise ConfigError("static allocation must lie on the simplex")
-        self._row = row
+        self._row = static_allocation_row(allocation_row, scenario.slice_count)
 
     def act(self, net, phase, step):
         alloc = np.tile(self._row, (self.scenario.cell_count, 1))
@@ -183,7 +191,9 @@ class CentralController(_LearningController):
     def record(self, prev, proposals, net):
         raw = reward_global(net, self.rewards)
         if self.kind == "cen_pen":
-            stored = reward_penalized(raw, np.mean(penalty_gaps(proposals)), self.rewards.beta)
+            # the mean gap over cells, as np.mean computes it
+            gaps = penalty_gaps(proposals)
+            stored = reward_penalized(raw, np.add.reduce(gaps) / gaps.size, self.rewards.beta)
         else:
             stored = raw
         self.agent.buffer.add(Experience(

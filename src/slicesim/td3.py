@@ -29,7 +29,7 @@ carries the agents on a leading member axis:
 * the checkpoint (``state``/``load_state``) is those four flat stacks plus
   both optimizers' moments and step counts: ten named arrays, saved with
   ``np.savez`` and restored in place;
-* the replay buffer stores ``(capacity, A, d)`` arrays and samples
+* the replay buffer stores one ``(capacity, A, d)`` array and samples
   ``(A, batch, d)`` batches.
 
 Agents never mix: member a's outputs and gradients depend only on agent a's
@@ -80,9 +80,11 @@ class ReplayBuffer:
     """Fixed-capacity ring buffer over flat experience arrays; each slot holds
     one row per agent, so the agents share the cursor.
 
-    Slots come first (``(capacity, A, d)``): a partly filled buffer then
-    touches one contiguous region, not A of them, which keeps the memory of
-    its large, lazily mapped arrays low.
+    All four fields live in one ``(capacity, A, 2 * state_dim + action_dim
+    + 1)`` array, each row laid out state | proposal | next_state | reward,
+    so a sample is one gather and its fields are views of it. Slots come
+    first: a partly filled buffer then touches one contiguous region, not A
+    of them, which keeps the memory of its large, lazily mapped array low.
     """
 
     def __init__(self, capacity: int, state_dim: int, action_dim: int, members: int = 1):
@@ -91,17 +93,18 @@ class ReplayBuffer:
         self.capacity = capacity
         self.size = 0
         self._cursor = 0
-        self._states = np.zeros((capacity, members, state_dim))
-        self._proposals = np.zeros((capacity, members, action_dim))
-        self._rewards = np.zeros((capacity, members))
-        self._next_states = np.zeros((capacity, members, state_dim))
+        s, a = state_dim, action_dim
+        # column ranges of state, proposal and next_state; the reward is last
+        self._fields = (slice(0, s), slice(s, s + a), slice(s + a, 2 * s + a))
+        self._rows = np.zeros((capacity, members, 2 * s + a + 1))
 
     def add(self, exp: Experience) -> None:
         i = self._cursor
-        self._states[i] = exp.state
-        self._proposals[i] = exp.proposal
-        self._rewards[i] = exp.reward
-        self._next_states[i] = exp.next_state
+        row, (st, pr, ns) = self._rows[i], self._fields
+        row[:, st] = exp.state
+        row[:, pr] = exp.proposal
+        row[:, ns] = exp.next_state
+        row[:, -1] = exp.reward
         self._cursor = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
@@ -110,17 +113,19 @@ class ReplayBuffer:
         if not 0 <= i < self.size:
             raise IndexError("buffer index out of range")
         base = self._cursor if self.size == self.capacity else 0
-        j = (base + i) % self.capacity
-        return Experience(self._states[j].copy(), self._proposals[j].copy(),
-                          self._rewards[j].copy(), self._next_states[j].copy())
+        row, (st, pr, ns) = self._rows[(base + i) % self.capacity], self._fields
+        return Experience(row[:, st].copy(), row[:, pr].copy(), row[:, -1].copy(),
+                          row[:, ns].copy())
 
     def sample(self, rngs: list[np.random.Generator], batch_size: int) -> Batch:
         """Agent a's rows at indices drawn from ``rngs[a]``."""
-        idx = np.stack([rng.integers(0, self.size, size=batch_size) for rng in rngs])
-        agents = np.arange(len(rngs))[:, None]
-        return Batch(states=self._states[idx, agents], proposals=self._proposals[idx, agents],
-                     rewards=self._rewards[idx, agents],
-                     next_states=self._next_states[idx, agents])
+        members = len(rngs)
+        idx = np.empty((members, batch_size), dtype=np.int64)
+        for a, rng in enumerate(rngs):
+            idx[a] = rng.integers(0, self.size, size=batch_size)
+        rows, (st, pr, ns) = self._rows[idx, np.arange(members)[:, None]], self._fields
+        return Batch(states=rows[..., st], proposals=rows[..., pr], rewards=rows[..., -1],
+                     next_states=rows[..., ns])
 
 
 def soft_update(online: list[np.ndarray], target: list[np.ndarray], tau: float) -> None:
@@ -221,9 +226,11 @@ class Td3Agent:
         self.critics_target = self.critics.copy()
         self.actor_opt = Adam(self.actor.flat, lr=hyper.actor_lr)
         self.critic_opt = Adam(self.critics.flat, lr=hyper.critic_lr)
-        # gradient buffers, reused by every update
-        self._actor_grad = np.empty_like(self.actor.flat)
-        self._critic_grad = np.empty_like(self.critics.flat)
+        # gradient buffers reused by every update, bound once as nets so each
+        # backward writes through the same views; likewise the first critics
+        self._actor_grad = Mlp.from_flat(actor_spec, np.empty_like(self.actor.flat))
+        self._critic_grad = Mlp.from_flat(critic_spec, np.empty_like(self.critics.flat))
+        self._critic1 = self.critics.member(slice(0, self.members))
         self.buffer = ReplayBuffer(hyper.buffer_capacity, c.state_dim, c.action_dim,
                                    members=self.members)
 
@@ -285,11 +292,14 @@ class Td3Agent:
 
     def _smoothed_target_actions(self, next_states: np.ndarray) -> np.ndarray:
         h = self.hyper
-        shape = (next_states.shape[-2], self.config.action_dim)
-        noise = np.stack([rng.normal(0.0, h.target_noise, size=shape) for rng in self.rngs])
-        noise = np.clip(noise, -h.noise_clip, h.noise_clip)
+        noise = np.empty(next_states.shape[:-1] + (self.config.action_dim,))
+        for a, rng in enumerate(self.rngs):
+            noise[a] = rng.normal(0.0, h.target_noise, size=noise.shape[1:])
+        np.maximum(noise, -h.noise_clip, out=noise)
+        np.minimum(noise, h.noise_clip, out=noise)
         z = self.actor_target.logits(next_states)
-        return self.actor_target.apply_head(z + noise)
+        z += noise
+        return self.actor_target.apply_head(z)
 
     def compute_targets(self, rewards: np.ndarray, next_states: np.ndarray) -> np.ndarray:
         """TD targets g = r + gamma * min of the twin target critics at the
@@ -303,28 +313,33 @@ class Td3Agent:
         """One TD regression step on every critic; returns per agent the
         pre-update MSE loss summed over its twins and the mean |TD error| of
         its first critic."""
-        a = self.members
+        # a mean is np.add.reduce divided by the count, as np.mean computes
+        # it, without np.mean's Python layer
+        a, b = self.members, batch.size
         g = self.compute_targets(batch.rewards, batch.next_states)
         x = np.concatenate([batch.states, batch.proposals], axis=-1)
         # both twins of agent i (members i and a + i) regress on agent i's batch
         q, cache = self.critics.forward_cached(np.concatenate([x, x]))
-        td = q[..., 0] - np.concatenate([g, g])
-        mse = np.mean(td ** 2, axis=-1)
-        self.critics.backward(cache, (2.0 * td / batch.size)[..., None], out=self._critic_grad)
-        self.critic_opt.step(self.critics.flat, self._critic_grad)
-        return mse[:a] + mse[a:], np.mean(np.abs(td[:a]), axis=-1)
+        td = (q[..., 0].reshape(2, a, b) - g).reshape(2 * a, b)
+        mse = np.add.reduce(td ** 2, -1) / b
+        self.critics.backward(cache, (2.0 * td / b)[..., None], out=self._critic_grad)
+        self.critic_opt.step(self.critics.flat, self._critic_grad.flat)
+        return mse[:a] + mse[a:], np.add.reduce(np.abs(td[:a]), -1) / b
 
     def actor_gradients(self, batch: Batch) -> tuple[np.ndarray, list[np.ndarray]]:
         """Per-agent objective mean Q1(s, pi(s)) and the gradients of its
         negation, shaped like ``actor.parameters()`` (views into the actor's
-        gradient buffer)."""
-        critic1 = self.critics.member(slice(0, self.members))
+        gradient buffer).
+
+        Only dQ1/da is needed from the first critics, so they run the
+        input-gradient pass and compute no parameter gradient.
+        """
+        critic1, b = self._critic1, batch.size
         a, actor_cache = self.actor.forward_cached(batch.states)
         x = np.concatenate([batch.states, a], axis=-1)
         q, critic_cache = critic1.forward_cached(x)
-        objective = np.mean(q[..., 0], axis=-1)
-        b = batch.size
-        _, gx = critic1.backward(critic_cache, np.full(q.shape, 1.0 / b))
+        objective = np.add.reduce(q[..., 0], -1) / b
+        gx = critic1.input_grad(critic_cache, np.full(q.shape, 1.0 / b))
         dq_da = gx[..., self.config.state_dim:]
         grads, _ = self.actor.backward(actor_cache, -dq_da, out=self._actor_grad)
         return objective, grads
@@ -332,7 +347,7 @@ class Td3Agent:
     def actor_update(self, batch: Batch) -> np.ndarray:
         """Ascend mean Q1(s, pi(s)); critics are read, never written."""
         objective, _ = self.actor_gradients(batch)
-        self.actor_opt.step(self.actor.flat, self._actor_grad)
+        self.actor_opt.step(self.actor.flat, self._actor_grad.flat)
         return objective
 
     def sync_targets(self) -> None:

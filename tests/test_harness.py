@@ -759,6 +759,32 @@ def test_cli_validate_reports_a_non_finite_number(tmp_path, capsys, path, value)
     assert captured.err == f"error: {path}: must be a finite number\n"
 
 
+@pytest.mark.parametrize("row", [[0.5, 0.6, 0.1], [-0.1, 0.6, 0.5], [0.0, 0.5, 0.5 - 2e-9]],
+                         ids=["sums_over_1", "negative_entry", "sum_off_by_2e-9"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_rejects_an_off_simplex_static_allocation(tmp_path, capsys, command, row):
+    data = json.loads((CONFIG_DIR / "toy.json").read_text())
+    data["scheme"].update(kind="static_default", static_allocation=row)
+    data["output"] = {"dir": str(tmp_path / "runs")}
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(data))
+    assert main([command, "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: scheme.static_allocation: must lie on the simplex\n"
+    assert not (tmp_path / "runs").exists()  # refused before the first run
+
+
+def test_static_allocation_within_the_simplex_tolerance_accepted():
+    # the same 1e-9 tolerance as the static scheme and the environment
+    data = tiny_config_data()
+    data["scheme"]["static_allocation"] = [0.0, 0.5, 0.5 + 0.5e-9]
+    assert parse_config(data).static_allocation == (0.0, 0.5, 0.5 + 0.5e-9)
+    data["scheme"]["static_allocation"] = [0.0, 0.5, 0.5 + 2e-9]
+    with pytest.raises(ConfigError, match=re.escape("scheme.static_allocation: must lie on")):
+        parse_config(data)
+
+
 def test_cli_validate_missing_file(capsys):
     assert main(["validate", "--config", "/nonexistent.json"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -291,6 +291,32 @@ def test_adam_rejects_non_finite_gradient():
         opt.step(p, np.array([np.nan, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("position", [0, 3, 6, 11])
+def test_adam_rejects_a_non_finite_entry_anywhere_and_changes_nothing(bad, position):
+    p = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+    opt = Adam(p, lr=0.01)
+    opt.step(p, np.full((3, 4), 0.5))  # non-zero moments to keep
+    keep = p.copy(), opt.m.copy(), opt.v.copy()
+    grad = np.full((3, 4), 0.25)
+    grad.flat[position] = bad
+    with pytest.raises(FloatingPointError):
+        opt.step(p, grad)
+    assert opt.t == 1
+    for now, before in zip((p, opt.m, opt.v), keep):
+        assert np.array_equal(now, before)
+
+
+def test_adam_steps_on_a_finite_gradient_whose_sum_overflows():
+    p = np.zeros(2)
+    opt = Adam(p, lr=0.01)
+    grad = np.array([1e308, 1e308])
+    with np.errstate(over="ignore"):  # the sum, and v's square, overflow to inf
+        assert not np.isfinite(grad.sum())
+        opt.step(p, grad)
+    assert opt.t == 1 and np.array_equal(opt.m, grad * (1.0 - 0.9))
+
+
 def test_adam_rejects_gradient_of_another_shape():
     # a per-member gradient must not broadcast over a stack of members
     p = np.ones((3, 4))

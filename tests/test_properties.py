@@ -3,7 +3,8 @@ evaluation, the environment's user counts and monotonicity of the
 coupled-load fixed point; and exactness
 tests of the whole-array environment step, the load solve, the mask
 lookup, observations, messages and rewards against the code they
-replaced, kept here as literal references. Last, configs with one or two
+replaced, kept here as literal references. ``Mlp.input_grad`` must give
+the bits of ``Mlp.backward``'s input gradient. Last, configs with one or two
 leaves replaced by a degenerate value (NaN, an infinity, zero, a negative,
 a boolean, a subnormal, an empty list, a wrong type) must either be
 rejected with the path of a replaced leaf or run every scheme to finite
@@ -51,6 +52,7 @@ from slicesim.netsim import (
     solve_coupled_loads,
     walk_users,
 )
+from slicesim.nn import HEADS, Mlp, MlpSpec
 from slicesim.schemes import SCHEME_KINDS
 
 PROPERTY = settings(max_examples=60, derandomize=True, deadline=None)
@@ -431,6 +433,58 @@ def test_messages_match_the_per_cell_mean(observed):
     want = np.stack([reference_extract_message(net, topo, k) for k in range(topo.cell_count)])
     assert got.shape == want.shape == (topo.cell_count, net.slice_count)
     assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the input-gradient pass against backward
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def nets_and_inputs(draw):
+    """A plain net or a stack of 1-3 members, any head, 0-2 hidden layers,
+    with a single input (no batch axis) or a batch of 1-5 rows."""
+    head = draw(st.sampled_from(HEADS))
+    block = draw(st.integers(2, 3)) if head == "softmax_blocks" else 0
+    d_out = block * draw(st.integers(1, 3)) if block else draw(st.integers(1, 4))
+    hidden = draw(st.lists(st.integers(1, 12), max_size=2))
+    spec = MlpSpec((draw(st.integers(1, 6)), *hidden, d_out), head=head, block_size=block)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    members = draw(st.sampled_from([None, 1, 2, 3]))
+    if members is None:
+        net, lead = Mlp.init(rng, spec), ()
+    else:
+        net, lead = Mlp.stack([Mlp.init(rng, spec) for _ in range(members)]), (members,)
+    batch = draw(st.sampled_from([None, 1, 2, 5]))
+    rows = () if batch is None else (batch,)
+    x = rng.normal(size=lead + rows + (spec.d_in,))
+    v = rng.normal(size=lead + rows + (spec.d_out,))
+    return net, x, v
+
+
+@PROPERTY
+@given(nets_and_inputs())
+def test_input_grad_matches_the_input_gradient_of_backward(case):
+    net, x, v = case
+    _, cache = net.forward_cached(x)
+    grad_x = net.input_grad(cache, v)
+    _, dx = net.backward(cache, v)
+    assert grad_x.shape == dx.shape == x.shape
+    assert np.array_equal(grad_x, dx)
+
+
+@PROPERTY
+@given(nets_and_inputs())
+def test_backward_into_a_bound_gradient_net_matches_a_fresh_buffer(case):
+    net, x, v = case
+    _, cache = net.forward_cached(x)
+    fresh, dx = net.backward(cache, v)
+    bound = Mlp.from_flat(net.spec, np.full_like(net.flat, np.nan))
+    for _ in range(2):  # the second call writes over the first through the same views
+        grads, bound_dx = net.backward(cache, v, out=bound)
+        assert all(np.shares_memory(g, bound.flat) for g in grads)
+        assert all(np.array_equal(g, f) for g, f in zip(grads, fresh))
+        assert np.array_equal(bound_dx, dx)
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,70 @@ def test_buffer_sample_shapes_and_determinism():
     assert np.array_equal(a.rewards, b.rewards)
 
 
+class FourArrayBuffer:
+    """The replay buffer as it was before its fields shared one array: four
+    ``(capacity, A, d)`` arrays and four gathers per sample."""
+
+    def __init__(self, capacity, state_dim, action_dim, members):
+        self.capacity, self.size, self.cursor = capacity, 0, 0
+        self.states = np.zeros((capacity, members, state_dim))
+        self.proposals = np.zeros((capacity, members, action_dim))
+        self.rewards = np.zeros((capacity, members))
+        self.next_states = np.zeros((capacity, members, state_dim))
+
+    def add(self, exp):
+        i = self.cursor
+        self.states[i], self.proposals[i] = exp.state, exp.proposal
+        self.rewards[i], self.next_states[i] = exp.reward, exp.next_state
+        self.cursor = (i + 1) % self.capacity
+        self.size = min(self.size + 1, self.capacity)
+
+    def peek(self, i):
+        base = self.cursor if self.size == self.capacity else 0
+        j = (base + i) % self.capacity
+        return Experience(self.states[j].copy(), self.proposals[j].copy(),
+                          self.rewards[j].copy(), self.next_states[j].copy())
+
+    def sample(self, rngs, batch_size):
+        idx = np.stack([rng.integers(0, self.size, size=batch_size) for rng in rngs])
+        agents = np.arange(len(rngs))[:, None]
+        return Batch(states=self.states[idx, agents], proposals=self.proposals[idx, agents],
+                     rewards=self.rewards[idx, agents],
+                     next_states=self.next_states[idx, agents])
+
+
+@pytest.mark.parametrize("members", [1, 3])
+def test_packed_buffer_matches_the_four_array_buffer(members):
+    state_dim, action_dim, capacity = 5, 4, 7
+    buf = ReplayBuffer(capacity, state_dim, action_dim, members=members)
+    ref = FourArrayBuffer(capacity, state_dim, action_dim, members)
+    data = np.random.default_rng(8)
+    for n in range(1, 3 * capacity + 3):  # wraps the ring three times
+        exp = Experience(data.random((members, state_dim)), data.random((members, action_dim)),
+                         data.random(members), data.random((members, state_dim)))
+        buf.add(exp)
+        ref.add(exp)
+        assert buf.size == ref.size == min(n, capacity)
+        for batch_size in (1, 6):
+            seeds = np.random.SeedSequence(n * 10 + batch_size).spawn(members)
+            got = buf.sample([np.random.default_rng(s) for s in seeds], batch_size)
+            want = ref.sample([np.random.default_rng(s) for s in seeds], batch_size)
+            for field in ("states", "proposals", "rewards", "next_states"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), field
+                assert getattr(got, field).shape == getattr(want, field).shape, field
+    # peek returns copies in insertion order, and re-adding them rebuilds the buffer
+    copy = ReplayBuffer(capacity, state_dim, action_dim, members=members)
+    for i in range(buf.size):
+        mine, theirs = buf.peek(i), ref.peek(i)
+        for field in ("state", "proposal", "reward", "next_state"):
+            assert np.array_equal(getattr(mine, field), getattr(theirs, field)), field
+            assert not np.shares_memory(getattr(mine, field), buf._rows)
+        copy.add(mine)
+    for i in range(buf.size):
+        for field in ("state", "proposal", "reward", "next_state"):
+            assert np.array_equal(getattr(copy.peek(i), field), getattr(buf.peek(i), field))
+
+
 # ---------------------------------------------------------------------------
 # soft update
 # ---------------------------------------------------------------------------
@@ -391,6 +455,32 @@ def test_checkpoint_continues_training_bit_for_bit(tmp_path):
     other.train_step(10)
     for name in ("actor", "critics", "actor_target", "critics_target"):
         assert np.array_equal(getattr(other, name).flat, getattr(agent, name).flat), name
+
+
+def test_bound_views_survive_load_state(tmp_path):
+    # stacked agents whose gradient nets, first-critic view and per-layer
+    # views were bound at construction; load_state copies into the live
+    # arrays, so every one of them must still read and write the loaded values
+    cfg, hyper = split_config(batch_size=8, buffer_capacity=64)
+    agent = Td3Agent(cfg, hyper, np.random.default_rng(21).spawn(3))
+    other = Td3Agent(cfg, hyper, np.random.default_rng(22).spawn(3))
+    data = np.random.default_rng(23)
+    for _ in range(20):
+        agent.buffer.add(Experience(data.random((3, 4)), data.random((3, 3)), data.random(3),
+                                   data.random((3, 4))))
+    for step in range(5):
+        agent.train_step(step)
+    load_saved(agent, other, tmp_path / "agent.npz")
+    for i in range(agent.buffer.size):
+        other.buffer.add(agent.buffer.peek(i))
+    for mine, theirs in zip(agent.rngs, other.rngs):
+        theirs.bit_generator.state = mine.bit_generator.state
+    for step in range(5, 13):  # four actor and target updates among them
+        agent.train_step(step)
+        other.train_step(step)
+        for name in ("actor", "critics", "actor_target", "critics_target"):
+            assert np.array_equal(getattr(other, name).flat, getattr(agent, name).flat), \
+                (step, name)
 
 
 @pytest.mark.parametrize("gamma", [-0.1, 1.5])
