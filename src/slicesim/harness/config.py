@@ -148,7 +148,6 @@ def parse_scenario(obj, path: str = "scenario") -> Scenario:
     bandwidth = _number(section, "bandwidth_hz", path, minimum=1.0)
     coupling = _number(section, "coupling", path, default=0.0, minimum=0.0)
     se_max = _number(section, "se_max", path, minimum=1e-9)
-    topology = TOPOLOGY_BUILDERS[kind](cells, float(bandwidth), float(coupling), float(se_max))
 
     slices_obj = _require(section, "slices", path)
     if not isinstance(slices_obj, list) or not slices_obj:
@@ -166,7 +165,8 @@ def parse_scenario(obj, path: str = "scenario") -> Scenario:
     p_stay = float(_number(section, "p_stay", path, default=Scenario.p_stay, minimum=0.0))
     try:
         return Scenario(
-            topology=topology,
+            topology=TOPOLOGY_BUILDERS[kind](cells, float(bandwidth), float(coupling),
+                                             float(se_max)),
             slices=SliceSpec(tuple(thr), tuple(dly), tuple(dem)),
             masks=tuple(masks),
             group_size_max=tuple(groups),
@@ -218,6 +218,9 @@ def parse_hyper(obj, path: str = "agent") -> AgentHyperParams:
     if hyper.epsilon_end > hyper.epsilon_start:
         raise ConfigError(f"{path}.epsilon_end: must be <= {path}.epsilon_start "
                           f"({hyper.epsilon_start})")
+    if hyper.batch_size > hyper.buffer_capacity:  # the buffer never fills a batch
+        raise ConfigError(f"{path}.batch_size: must be <= {path}.buffer_capacity "
+                          f"({hyper.buffer_capacity})")
     return hyper
 
 

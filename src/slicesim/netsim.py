@@ -51,10 +51,14 @@ class Topology:
             raise ConfigError("cell_count must be >= 1")
         if len(self.neighbors) != k:
             raise ConfigError("neighbors must have one entry per cell")
-        if self.bandwidth_hz <= 0 or self.se_max <= 0:
-            raise ConfigError("bandwidth_hz and se_max must be positive")
-        if self.coupling < 0:
-            raise ConfigError("coupling must be >= 0")
+        if not (0 < self.bandwidth_hz < np.inf and 0 < self.se_max < np.inf):
+            raise ConfigError("bandwidth_hz and se_max must be positive and finite")
+        if not 0 <= self.coupling < np.inf:
+            raise ConfigError("coupling must be finite and >= 0")
+        # the largest peak capacity of any allocation validate_allocation accepts,
+        # in the order _peak_capacity multiplies
+        if (1 + SIMPLEX_ATOL) * self.bandwidth_hz * self.se_max == np.inf:
+            raise ConfigError("bandwidth_hz * se_max overflows the peak capacity")
         for i, nbrs in enumerate(self.neighbors):
             for j in nbrs:
                 if j == i:
@@ -278,9 +282,6 @@ def neighbor_table(topology: Topology) -> tuple[np.ndarray, np.ndarray]:
     return table, degree
 
 
-_TINY = np.finfo(float).tiny
-
-
 def _capacity(adjacency: np.ndarray, coupling: float, peak: np.ndarray, loads: np.ndarray,
               out: np.ndarray | None = None) -> np.ndarray:
     """``peak`` capacity shrunk by the neighbours' total load."""
@@ -305,26 +306,20 @@ def solve_coupled_loads(topology: Topology, allocation: np.ndarray, offered: np.
 
     The capacity is ``peak / denom`` with ``denom = 1 + coupling * (A @ row
     sums of the loads)``. Round 1 starts from zero loads, so its denominator
-    is exactly 1 and its capacity is ``peak``. Loads lie in [0, 1], so every
-    denominator lies in [1, 1 + coupling * (K - 1) * N]. When that bound is
-    finite, no peak is +inf and every positive peak exceeds ``tiny`` times
-    the bound, a capacity is positive exactly where its peak is: the entries
-    served (traffic and positive capacity) are fixed for the whole solve,
-    and the others keep their round-1 value. Otherwise (a non-finite
-    coupling, or a peak so small that its capacity could round to zero)
-    every round checks the capacity's sign again. Both ways give the same
-    bits as the map applied round by round.
+    is exactly 1 and its capacity is ``peak``. ``Topology`` keeps the
+    coupling finite, and the peak of every allocation ``validate_allocation``
+    accepts, so every denominator is at least 1 and no capacity is a NaN:
+    the entries served (traffic and a positive peak) are fixed for the whole
+    solve, and the others keep their round-1 value. A served capacity that underflows to 0, or whose
+    denominator overflows, gives ``offered / 0 = inf`` and so the load 1
+    the map gives a non-positive capacity: the same bits as the map
+    applied round by round.
     """
     if max_iter < 1:
         return np.zeros_like(offered, dtype=float), False, max_iter
     peak = _peak_capacity(topology, allocation)
     pos = offered > 0
     served = pos & (peak > 0)
-    k, n = offered.shape
-    floor = _TINY * (1.0 + topology.coupling * ((k - 1) * n))
-    if not (floor < np.minimum.reduce(peak, None, None, None, False, np.inf, served)
-            and np.maximum.reduce(peak, None, None, None, False, -np.inf) < np.inf):
-        return _solve_checking_signs(topology, peak, offered, pos, tol, max_iter)
     # round 1: 1 where there is traffic and 0 elsewhere, then min(1, offered
     # / peak) where served; entries not served keep this value in both buffers
     loads = pos.astype(float)
@@ -336,48 +331,25 @@ def solve_coupled_loads(topology: Topology, allocation: np.ndarray, offered: np.
         return loads, True, 1
     adjacency = _adjacency(topology)
     coupling = topology.coupling
+    k = offered.shape[0]
     nxt, cap, diff = loads.copy(), np.empty_like(loads), np.empty_like(loads)
     total, denom = np.empty(k), np.empty(k)
     column = denom[:, None]
-    for it in range(2, max_iter + 1):
-        np.add.reduce(loads, 1, None, total)
-        np.dot(adjacency, total, denom)
-        np.multiply(denom, coupling, denom)
-        np.add(denom, 1.0, denom)
-        np.divide(peak, column, cap)
-        np.divide(offered, cap, nxt, where=served)
-        np.minimum(nxt, 1.0, out=nxt)
-        # every operation of the map is monotone in floating point too, so
-        # the iterates never fall and the change is its own absolute value
-        delta = np.maximum.reduce(np.subtract(nxt, loads, diff), None, None, None, False, 0.0)
-        loads, nxt = nxt, loads
-        if delta <= tol:
-            return loads, True, it
-    return loads, False, max_iter
-
-
-def _solve_checking_signs(topology: Topology, peak: np.ndarray, offered: np.ndarray,
-                          pos: np.ndarray, tol: float,
-                          max_iter: int) -> tuple[np.ndarray, bool, int]:
-    """:func:`solve_coupled_loads` with the capacity's sign checked in every round."""
-    adjacency = _adjacency(topology)
-    # every round starts from 1 where there is traffic and 0 elsewhere; the
-    # divide then overwrites the entries with traffic and positive capacity
-    saturated = pos.astype(float)
-    loads = np.zeros_like(offered, dtype=float)
-    nxt, cap, diff = (np.empty_like(loads) for _ in range(3))
-    served = np.empty_like(pos)
-    for it in range(1, max_iter + 1):
-        _capacity(adjacency, topology.coupling, peak, loads, out=cap)
-        np.logical_and(pos, cap > 0, out=served)
-        np.copyto(nxt, saturated)
-        np.divide(offered, cap, out=nxt, where=served)
-        np.minimum(nxt, 1.0, out=nxt)
-        np.subtract(nxt, loads, out=diff)
-        delta = np.abs(diff, out=diff).max() if diff.size else 0.0
-        loads, nxt = nxt, loads
-        if delta <= tol:
-            return loads, True, it
+    with np.errstate(divide="ignore"):  # offered / 0 where a capacity fell to 0
+        for it in range(2, max_iter + 1):
+            np.add.reduce(loads, 1, None, total)
+            np.dot(adjacency, total, denom)
+            np.multiply(denom, coupling, denom)
+            np.add(denom, 1.0, denom)
+            np.divide(peak, column, cap)
+            np.divide(offered, cap, nxt, where=served)
+            np.minimum(nxt, 1.0, out=nxt)
+            # every operation of the map is monotone in floating point too, so
+            # the iterates never fall and the change is its own absolute value
+            delta = np.maximum.reduce(np.subtract(nxt, loads, diff), None, None, None, False, 0.0)
+            loads, nxt = nxt, loads
+            if delta <= tol:
+                return loads, True, it
     return loads, False, max_iter
 
 

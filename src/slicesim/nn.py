@@ -220,20 +220,16 @@ class Mlp:
         return self._head_backward(gy, cache.y), single
 
     def backward(self, cache: _Cache, grad_out,
-                 out: "np.ndarray | Mlp | None" = None) -> tuple[list[np.ndarray], np.ndarray]:
+                 out: "Mlp | None" = None) -> tuple[list[np.ndarray], np.ndarray]:
         """Gradients for a scalar loss given dL/dy (batch-summed).
 
         Returns (param_grads in parameters() order, dL/dx). The parameter
-        gradients are views into one array shaped like ``flat``: ``out``
-        when given, so a caller can reuse one buffer, else a new array.
-        ``out`` may also be an ``Mlp`` of this spec bound to that buffer
-        (``Mlp.from_flat``), which saves rebuilding its views on every call.
+        gradients are views into one array shaped like ``flat``: that of
+        ``out``, an ``Mlp`` of this spec (``Mlp.from_flat``) a caller keeps
+        to reuse one buffer and its views, else a new array.
         """
         g, single = self._head_grad(cache, grad_out)
-        if isinstance(out, Mlp):
-            grad = out
-        else:
-            grad = Mlp.from_flat(self.spec, np.empty_like(self.flat) if out is None else out)
+        grad = Mlp.from_flat(self.spec, np.empty_like(self.flat)) if out is None else out
         acts, zs, weights_t = cache.acts, cache.zs, self._weights_t
         for i in range(len(weights_t) - 1, -1, -1):
             np.matmul(acts[i].swapaxes(-1, -2), g, out=grad.weights[i])

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,6 @@ from slicesim.harness.gridsearch import evaluate_static, grid_search, simplex_gr
 from slicesim.harness.metrics import (mask_correlation, resource_efficiency, smooth,
                                       steps_to_fraction_of_final)
 from slicesim.harness.runner import csv_header, run_experiment, run_single
-from slicesim import netsim
 from slicesim.netsim import (ConfigError, ConstraintViolationError, NetState, Topology,
                              TrafficMask)
 from slicesim.schemes import BaselineController, build_scheme
@@ -128,6 +128,22 @@ def test_agent_fraction_out_of_range_rejected(agent, path):
     data["agent"] = agent
     with pytest.raises(ConfigError, match=path.replace(".", r"\.")):
         parse_config(data)
+
+
+@pytest.mark.parametrize("agent, capacity", [
+    ({"batch_size": 32, "buffer_capacity": 10}, 10),
+    ({"batch_size": 11, "buffer_capacity": 10}, 10),
+    ({"buffer_capacity": 16}, 16),  # the default batch of 32
+])
+def test_batch_larger_than_the_replay_buffer_rejected(agent, capacity):
+    # the buffer never holds a batch, so such a learner would never train
+    data = tiny_config_data()
+    data["agent"] = agent
+    with pytest.raises(ConfigError, match=re.escape(
+            f"agent.batch_size: must be <= agent.buffer_capacity ({capacity})")):
+        parse_config(data)
+    data["agent"] = {"batch_size": capacity, "buffer_capacity": capacity}
+    assert parse_config(data).hyper.batch_size == capacity
 
 
 def _set_path(data, path, value):
@@ -536,25 +552,15 @@ def test_off_simplex_allocation_ends_the_run(tmp_path, monkeypatch):
     assert (tmp_path / "steps.csv.partial").read_text().count("\n") == 1
 
 
-def test_subnormal_static_share_runs_through_the_sign_checking_solve(tmp_path, monkeypatch):
-    # a peak capacity of 5e-324 bit/s lies below the floor under which the
-    # solve cannot tell a positive capacity from one that rounds to zero once
-    # neighbours load, so every round checks the capacity's sign
+def test_subnormal_static_share_runs_to_finite_results(tmp_path):
+    # a peak capacity of 5e-324 bit/s rounds to zero once the neighbours
+    # load, and an entry with traffic and no capacity saturates to load 1
     data = tiny_config_data(phases=(3, 3, 3), cells=3)
     data["scenario"].update(bandwidth_hz=1.0, se_max=1.0, coupling=1.0)
     data["scheme"]["static_allocation"] = [0.0, 1.0, 5e-324]
     cfg = parse_config(data)
-    calls = []
-    checking = netsim._solve_checking_signs
-
-    def counting(*args):
-        calls.append(1)
-        return checking(*args)
-
-    monkeypatch.setattr(netsim, "_solve_checking_signs", counting)
     with np.errstate(over="ignore"):  # offered / 5e-324 is inf, which saturates to 1
         summary = run_single(cfg, "static_default", 0, tmp_path)
-    assert len(calls) == cfg.phases.total
     assert math.isfinite(summary["mean_eval_reward"])
     lines = (tmp_path / "steps.csv").read_text().splitlines()
     header = lines[0].split(",")
@@ -757,6 +763,32 @@ def test_cli_validate_reports_a_non_finite_number(tmp_path, capsys, path, value)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {path}: must be a finite number\n"
+
+
+# finite radio constants whose full-share peak capacity is not: the first
+# overflows outright, the second only with the simplex tolerance added
+OVERFLOWING_PEAKS = [(1e300, 1e9), (sys.float_info.max, 1.0)]
+PEAK_OVERFLOW = "scenario: bandwidth_hz * se_max overflows the peak capacity"
+
+
+@pytest.mark.parametrize("bandwidth, se_max", OVERFLOWING_PEAKS)
+def test_overflowing_peak_capacity_rejected_with_the_scenario_path(bandwidth, se_max):
+    data = tiny_config_data(cells=3)
+    data["scenario"].update(bandwidth_hz=bandwidth, se_max=se_max)
+    with pytest.raises(ConfigError, match=re.escape(PEAK_OVERFLOW)):
+        parse_config(data)
+
+
+@pytest.mark.parametrize("bandwidth, se_max", OVERFLOWING_PEAKS)
+def test_cli_validate_reports_an_overflowing_peak_capacity(tmp_path, capsys, bandwidth, se_max):
+    data = tiny_config_data()
+    data["scenario"].update(bandwidth_hz=bandwidth, se_max=se_max)
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(data))
+    assert main(["validate", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {PEAK_OVERFLOW}\n"
 
 
 @pytest.mark.parametrize("row", [[0.5, 0.6, 0.1], [-0.1, 0.6, 0.5], [0.0, 0.5, 0.5 - 2e-9]],

@@ -1,6 +1,7 @@
 """Environment tests: masks, mobility, the coupled-load fixed point, KPIs."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -328,20 +329,21 @@ def kpi_inputs(load_value, users=4, lam_val=4e6, alloc_val=0.5):
     return topo, alloc, lam, loads, np.array([[users]])
 
 
-@pytest.mark.parametrize("topo, offered, converged, iterations", [
-    (Topology.ring(3, B20, math.inf, 2.0), [[1e6, 3e7]] * 3, True, 2),
-    (Topology.ring(3, B20, math.nan, 2.0), [[1e6, 3e7]] * 3, True, 2),
-    (Topology.ring(1, B20, math.inf, 2.0), [[1e6, 3e7]], True, 2),
-    # infinite traffic over an infinite peak is not a number in odd rounds
-    (Topology.ring(3, math.inf, 0.3, 2.0), [[math.inf, 3e7]] * 3, False, 50),
+@pytest.mark.parametrize("bandwidth, coupling, se_max, message", [
+    (B20, math.nan, 2.0, "coupling"),
+    (B20, math.inf, 2.0, "coupling"),
+    (math.inf, 0.3, 2.0, "bandwidth_hz and se_max"),
+    (B20, 0.3, math.nan, "bandwidth_hz and se_max"),
+    # finite, but the peak of a full share overflows, or does so only once the
+    # simplex tolerance is added to it
+    (1e300, 0.3, 1e9, "overflows"),
+    (sys.float_info.max, 0.0, 1.0, "overflows"),
 ])
-def test_capacity_that_is_not_a_number_saturates(topo, offered, converged, iterations):
-    # the capacity is not positive, so every entry with traffic maps to 1
-    alloc = np.full((topo.cell_count, 3), [0.2, 0.4, 0.4])
-    with np.errstate(all="ignore"):
-        loads, ok, it = solve_coupled_loads(topo, alloc, np.array(offered), 1e-6, 50)
-    assert (ok, it) == (converged, iterations)
-    assert np.array_equal(loads, np.ones_like(loads))
+def test_topology_that_could_make_a_capacity_not_a_number_rejected(bandwidth, coupling,
+                                                                   se_max, message):
+    for cells in (1, 3):
+        with pytest.raises(ConfigError, match=message):
+            Topology.ring(cells, bandwidth, coupling, se_max)
 
 
 def test_delay_at_zero_load_is_base():

@@ -198,7 +198,7 @@ def test_stack_matches_its_members_bit_for_bit():
         x, v = rng.normal(size=(3, 4, 5)), rng.normal(size=(3, 4, 6))
         y, cache = stack.forward_cached(x)
         grad = np.empty_like(stack.flat)
-        grads, gx = stack.backward(cache, v, out=grad)
+        grads, gx = stack.backward(cache, v, out=Mlp.from_flat(spec, grad))
         assert all(np.shares_memory(g, grad) for g in grads)
         for e, net in enumerate(nets):
             ye, ce = net.forward_cached(x[e])

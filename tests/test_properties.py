@@ -18,6 +18,7 @@ import copy
 import csv
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -216,13 +217,31 @@ def reference_solve(topology, allocation, offered, tol, max_iter):
     return loads, False, max_iter
 
 
-# up to 30 cells; 8 slices or more reach numpy's pairwise sum of a row
+# the benchmark's radio constants, or a full-share peak capacity near the
+# float maximum that Topology still accepts
+radio_constants = st.one_of(
+    st.just((20e6, 2.0)),
+    st.tuples(st.floats(0.25, 0.999), st.floats(1.0, 1e12)).map(
+        lambda f_se: (f_se[0] * sys.float_info.max / f_se[1], f_se[1])))
+
+# up to 30 cells; 8 slices or more reach numpy's pairwise sum of a row;
+# couplings up to 1e308 make the denominators overflow once neighbours load
 wide_topologies = st.builds(
-    lambda kind, cells, coupling: TOPOLOGY_BUILDERS[kind](cells, 20e6, coupling, 2.0),
-    st.sampled_from(["ring", "grid", "full"]), st.integers(1, 30), st.floats(0.0, 1.0))
+    lambda kind, cells, coupling, radio: TOPOLOGY_BUILDERS[kind](cells, radio[0], coupling,
+                                                                 radio[1]),
+    st.sampled_from(["ring", "grid", "full"]), st.integers(1, 30),
+    st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e308), st.just(1e308)), radio_constants)
 
 
-@settings(PROPERTY, max_examples=200)
+def _fp_errors(solve):
+    """The result of ``solve()`` and the kinds of floating-point error it met."""
+    kinds = set()
+    with np.errstate(all="call", call=lambda kind, flag: kinds.add(kind)):
+        result = solve()
+    return result, kinds
+
+
+@settings(PROPERTY, max_examples=300)
 @given(wide_topologies, st.integers(1, 9), st.sampled_from([1e-6, 1e-12, 0.0, 1.0]),
        st.integers(0, 12), st.data())
 def test_solve_coupled_loads_matches_the_load_map_loop(topo, slices, tol, max_iter, data):
@@ -240,16 +259,26 @@ def test_solve_coupled_loads_matches_the_load_map_loop(topo, slices, tol, max_it
     headroom = data.draw(hnp.arrays(float, (k, 1), elements=st.floats(0.01, 1.0)))
     raw = np.concatenate([headroom, share], axis=1)
     alloc = raw / raw.sum(axis=1, keepdims=True)
+    # subnormal shares at random entries: capacities that round to zero once
+    # the neighbours load
+    if data.draw(st.booleans()):
+        subnormal = data.draw(hnp.arrays(bool, (k, slices)))
+        alloc[:, 1:][subnormal] = data.draw(st.sampled_from([5e-324, 1e-310]))
     # traffic up to twice the peak of an even split, so that loads short of
     # 1 are common at every slice count
-    offered = sparse(0.0, 2 * 40e6 / (slices + 1))
+    offered = sparse(0.0, topo.bandwidth_hz * topo.se_max / (slices + 1) * 2)
     # one round is a cut-off for every instance with traffic; a tolerance of
     # 1 converges in round 1 and zero rounds return the zero loads
     for cut in (1, max_iter):
-        loads, converged, iterations = solve_coupled_loads(topo, alloc, offered, tol, cut)
-        ref_loads, ref_converged, ref_iterations = reference_solve(topo, alloc, offered, tol, cut)
+        (loads, converged, iterations), errors = _fp_errors(
+            lambda: solve_coupled_loads(topo, alloc, offered, tol, cut))
+        (ref_loads, ref_converged, ref_iterations), ref_errors = _fp_errors(
+            lambda: reference_solve(topo, alloc, offered, tol, cut))
         assert loads.tobytes() == ref_loads.tobytes()
         assert (converged, iterations) == (ref_converged, ref_iterations)
+        # the load map divides only where a capacity is positive, so a solve
+        # that divides by a capacity fallen to 0 must not show it
+        assert errors <= ref_errors - {"divide by zero", "invalid value"}
 
 
 def _raises_fp_error(solve):
