@@ -25,6 +25,11 @@ from ..netsim import (
 from ..schemes import SCHEME_KINDS, static_allocation_row
 from ..td3 import AgentHyperParams
 
+# Far above any shipped scenario (the largest has 25 cells), this bound
+# refuses a cell count no run could hold before a topology builder starts
+# allocating its per-cell objects.
+MAX_CELLS = 10_000
+
 
 @dataclass(frozen=True)
 class PhasePlan:
@@ -95,8 +100,8 @@ def _checked_number(v, path: str, minimum=None, maximum=None):
     return v
 
 
-def _integer(section: dict, key: str, path: str, minimum=None):
-    v = _number(section, key, path, minimum=minimum)
+def _integer(section: dict, key: str, path: str, minimum=None, maximum=None):
+    v = _number(section, key, path, minimum=minimum, maximum=maximum)
     if int(v) != v:
         raise ConfigError(f"{path}.{key}: expected an integer")
     return int(v)
@@ -144,7 +149,7 @@ def parse_scenario(obj, path: str = "scenario") -> Scenario:
     if kind not in TOPOLOGY_BUILDERS:
         raise ConfigError(f"{path}.topology: unknown kind {kind!r} "
                           f"(expected one of {sorted(TOPOLOGY_BUILDERS)})")
-    cells = _integer(section, "cells", path, minimum=1)
+    cells = _integer(section, "cells", path, minimum=1, maximum=MAX_CELLS)
     bandwidth = _number(section, "bandwidth_hz", path, minimum=1.0)
     coupling = _number(section, "coupling", path, default=0.0, minimum=0.0)
     se_max = _number(section, "se_max", path, minimum=1e-9)

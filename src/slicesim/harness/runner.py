@@ -5,17 +5,24 @@ scheme-independent schema. Floats are serialized with ``repr`` so re-parsing
 gives back the exact same doubles; identical config and seed therefore
 produce byte-identical CSVs.
 
+Rows are formatted a block at a time. Each step stores its values in a
+preallocated block (a float table, an int table and the phase strings), and
+``_write_block`` formats a full block with each distinct value of it
+formatted once, then writes it with one call. The last, partial block is
+written when the run ends; a run that raises still writes every completed
+step's row before the error propagates.
+
 Each step's values are computed once: the step's mean penalty gap feeds both
 the ``penalty`` column and the penalized reward, and one ``resource_efficiency``
 call gives every cell's efficiency. What ``summary.json`` reads is stored in
 arrays indexed by step (per-slice values summed over cells, the allocation
 share averaged over cells), and the summary is built from those arrays.
 
-Rows stream to ``steps.csv.partial``, which becomes ``steps.csv`` only when
+Rows go to ``steps.csv.partial``, which becomes ``steps.csv`` only when
 the run completes, so a run that raises leaves neither ``steps.csv`` nor
 ``summary.json``, not even an earlier run's in the same directory (the
-partial file stays, ending where the run died). An allocation off the
-per-cell simplex is such a failure: ``SliceEnv.step`` raises
+partial file stays, ending with the last completed step). An allocation off
+the per-cell simplex is such a failure: ``SliceEnv.step`` raises
 ``ConstraintViolationError`` for it. A learning scheme also saves its agent
 as ``checkpoints/agent.npz``, the arrays of ``Td3Agent.state``.
 """
@@ -54,6 +61,43 @@ def _json_safe(x):
     return x
 
 
+# Cells per block of CSV rows, so each table of a block takes at most 32 KiB.
+# Most repeats of a value fall within one row, so a larger block formats
+# hardly fewer values; it only holds more strings at once, which shows in
+# peak RSS.
+_BLOCK_CELLS = 4096
+
+
+def _block_layout(cell_count: int, slice_count: int):
+    """The CSV columns of the float-table columns and of the int-table columns."""
+    k, n = cell_count, slice_count
+    users = 8 + n + k + 3 * k * n  # mask, eta, phi, delay and load end here
+    actions = users + k * n
+    float_cols = np.r_[2:7, 8:users, actions:actions + k * (n + 1)]
+    int_cols = np.r_[0, 7, users:actions]
+    return float_cols, int_cols
+
+
+def _write_block(fh, floats, ints, phases, layout) -> None:
+    """Write one CSV row for each of ``phases`` from the first rows of the tables.
+
+    The bytes are those of joining ``repr`` of each float and ``str`` of each
+    int row by row, but each distinct value of the block is formatted once.
+    Floats are keyed on their bits, so -0.0 does not print as 0.0.
+    """
+    rows = len(phases)
+    float_cols, int_cols = layout
+    fkeys, fidx = np.unique(floats[:rows].view(np.int64), return_inverse=True)
+    ikeys, iidx = np.unique(ints[:rows], return_inverse=True)
+    strings = [*map(repr, fkeys.view(np.float64).tolist()), *map(str, ikeys.tolist()), *phases]
+    index = np.empty((rows, len(float_cols) + len(int_cols) + 1), dtype=np.intp)
+    index[:, float_cols] = fidx.reshape(rows, -1)
+    index[:, int_cols] = iidx.reshape(rows, -1) + len(fkeys)
+    index[:, 1] = np.arange(len(strings) - rows, len(strings))
+    cells = np.array(strings, dtype=object)[index]
+    fh.write("".join([",".join(row) + "\n" for row in cells.tolist()]))
+
+
 def run_single(cfg: ExperimentConfig, kind: str, seed: int, out_dir) -> dict:
     """Run one scheme under one seed; returns the summary dict."""
     t_start = time.perf_counter()
@@ -78,50 +122,71 @@ def run_single(cfg: ExperimentConfig, kind: str, seed: int, out_dir) -> dict:
     served, users, delay_w, share, mask = (np.empty((plan.total, n)) for _ in range(5))
     nonconverged = 0
 
+    # one block of rows: a float table (the five head scalars, mask, eta,
+    # phi, delay, load, actions), an int table (step, fp_converged, users)
+    # and the phase strings
+    header = csv_header(k, n)
+    block_rows = max(1, _BLOCK_CELLS // len(header))
+    layout = float_cols, int_cols = _block_layout(k, n)
+    floats = np.empty((block_rows, len(float_cols)))
+    ints = np.empty((block_rows, len(int_cols)), dtype=np.int64)
+    phases = []
+
     state = env.reset()
     csv_path = out / "steps.csv"
     partial_path = out / "steps.csv.partial"
     with open(partial_path, "w", newline="") as fh:
-        fh.write(",".join(csv_header(k, n)) + "\n")
-        for step in range(plan.total):
-            phase = plan.phase_of(step)
-            proposals, alloc = controller.act(state, phase, step)
-            nxt = env.step(alloc)
-            if not nxt.fp_converged:
-                nonconverged += 1
+        fh.write(",".join(header) + "\n")
+        try:
+            for step in range(plan.total):
+                phase = plan.phase_of(step)
+                proposals, alloc = controller.act(state, phase, step)
+                nxt = env.step(alloc)
+                if not nxt.fp_converged:
+                    nonconverged += 1
 
-            # a mean over cells is np.add.reduce over them divided by k, as
-            # np.mean computes it, without np.mean's Python layer
-            raw[step] = reward = reward_global(nxt, cfg.rewards)
-            penalty[step] = mean_gap = float(np.add.reduce(penalty_gaps(proposals)) / k)
-            pen_reward[step] = reward_pen = reward_penalized(reward, mean_gap, cfg.rewards.beta)
-            if phase != "eval":
-                controller.record(state, proposals, nxt)
-            diag = controller.train(step) if phase == "train" and controller.trains else None
+                # a mean over cells is np.add.reduce over them divided by k, as
+                # np.mean computes it, without np.mean's Python layer
+                raw[step] = reward = reward_global(nxt, cfg.rewards)
+                penalty[step] = mean_gap = float(np.add.reduce(penalty_gaps(proposals)) / k)
+                pen_reward[step] = reward_pen = reward_penalized(reward, mean_gap, cfg.rewards.beta)
+                if phase != "eval":
+                    controller.record(state, proposals, nxt)
+                diag = controller.train(step) if phase == "train" and controller.trains else None
 
-            mask[step] = nxt.mask
-            eta = resource_efficiency(nxt, alloc, sc.topology)
-            eta_mean[step] = np.add.reduce(eta) / k
-            served[step] = np.add.reduce(nxt.throughput * nxt.users, 0)
-            users[step] = np.add.reduce(nxt.users, 0)
-            delay_w[step] = np.add.reduce(nxt.delay * nxt.users, 0)
-            share[step] = np.add.reduce(alloc[:, 1:], 0) / k
+                mask[step] = nxt.mask
+                eta = resource_efficiency(nxt, alloc, sc.topology)
+                eta_mean[step] = np.add.reduce(eta) / k
+                served[step] = np.add.reduce(nxt.throughput * nxt.users, 0)
+                users[step] = np.add.reduce(nxt.users, 0)
+                delay_w[step] = np.add.reduce(nxt.delay * nxt.users, 0)
+                share[step] = np.add.reduce(alloc[:, 1:], 0) / k
 
-            # mean over agents; with one agent this is its own value, exactly
-            if diag:
-                agents = diag.critic_loss.size
-                critic = float(np.add.reduce(diag.critic_loss) / agents)
-                actor = float(np.add.reduce(diag.actor_objective) / agents)
-            else:
-                critic = actor = float("nan")
-            head = (f"{step},{phase},{reward!r},{reward_pen!r},{mean_gap!r},{critic!r},{actor!r},"
-                    f"{1 if nxt.fp_converged else 0}")
-            floats = np.concatenate([mask[step], eta, nxt.throughput, nxt.delay, nxt.load],
-                                    axis=None)
-            fh.write(",".join([head, *map(repr, floats.tolist()),
-                               *map(str, nxt.users.ravel().tolist()),
-                               *map(repr, alloc.ravel().tolist())]) + "\n")
-            state = nxt
+                # mean over agents; with one agent this is its own value, exactly
+                if diag:
+                    agents = diag.critic_loss.size
+                    critic = float(np.add.reduce(diag.critic_loss) / agents)
+                    actor = float(np.add.reduce(diag.actor_objective) / agents)
+                else:
+                    critic = actor = float("nan")
+                row = len(phases)
+                frow = floats[row]
+                frow[:5] = reward, reward_pen, mean_gap, critic, actor
+                np.concatenate([mask[step], eta, nxt.throughput, nxt.delay, nxt.load, alloc],
+                               axis=None, out=frow[5:])
+                irow = ints[row]
+                irow[0] = step
+                irow[1] = nxt.fp_converged
+                irow[2:] = nxt.users.reshape(-1)
+                phases.append(phase)
+                if len(phases) == block_rows:
+                    _write_block(fh, floats, ints, phases, layout)
+                    phases.clear()
+                state = nxt
+        finally:
+            # every completed step's row reaches the file, also when the run raises
+            if phases:
+                _write_block(fh, floats, ints, phases, layout)
 
     train = slice(plan.explore, plan.anneal_steps)
     ev = slice(plan.anneal_steps, plan.total)

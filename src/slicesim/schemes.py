@@ -82,11 +82,11 @@ class StaticController(Controller):
 
     def __init__(self, scenario, allocation_row):
         super().__init__(scenario)
-        self._row = static_allocation_row(allocation_row, scenario.slice_count)
+        row = static_allocation_row(allocation_row, scenario.slice_count)
+        self._alloc = np.tile(row, (scenario.cell_count, 1))
 
     def act(self, net, phase, step):
-        alloc = np.tile(self._row, (self.scenario.cell_count, 1))
-        return alloc.copy(), alloc
+        return self._alloc.copy(), self._alloc.copy()
 
 
 class BaselineController(Controller):

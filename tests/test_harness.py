@@ -14,13 +14,14 @@ from slicesim.harness import runner
 from slicesim.harness.cli import main
 from slicesim.harness.compare import (compare_runs, format_table, load_summary,
                                       mean_curve, read_column)
-from slicesim.harness.config import PhasePlan, load_config, parse_config, scenario_hash
+from slicesim.harness.config import (MAX_CELLS, PhasePlan, load_config, parse_config,
+                                     scenario_hash)
 from slicesim.harness.gridsearch import evaluate_static, grid_search, simplex_grid
 from slicesim.harness.metrics import (mask_correlation, resource_efficiency, smooth,
                                       steps_to_fraction_of_final)
 from slicesim.harness.runner import csv_header, run_experiment, run_single
-from slicesim.netsim import (ConfigError, ConstraintViolationError, NetState, Topology,
-                             TrafficMask)
+from slicesim.netsim import (TOPOLOGY_BUILDERS, ConfigError, ConstraintViolationError,
+                             NetState, Topology, TrafficMask)
 from slicesim.schemes import BaselineController, build_scheme
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -513,24 +514,37 @@ def test_run_single_checkpoint_loads_into_a_fresh_controller(tmp_path):
             agents["cen_soft"].load_state(data)
 
 
-class _ActFailsAtStep5(BaselineController):
+class _ActFailsAt(BaselineController):
+    def __init__(self, scenario, fail_step):
+        super().__init__(scenario)
+        self.fail_step = fail_step
+
     def act(self, net, phase, step):
-        if step == 5:
-            raise RuntimeError("act failed at step 5")
+        if step == self.fail_step:
+            raise RuntimeError(f"act failed at step {step}")
         return super().act(net, phase, step)
 
 
 def test_failed_run_leaves_no_steps_csv_or_summary(tmp_path, monkeypatch):
-    cfg = parse_config(tiny_config_data())
-    run_single(cfg, "baseline", 0, tmp_path)  # an earlier run's results, to be cleared
-    monkeypatch.setattr(runner, "build_scheme",
-                        lambda kind, sc, *_, **__: _ActFailsAtStep5(sc))
-    with pytest.raises(RuntimeError, match="step 5"):
-        run_single(cfg, "baseline", 1, tmp_path)
-    assert not (tmp_path / "steps.csv").exists()
-    assert not (tmp_path / "summary.json").exists()
-    # the rows written before the failure stay in the partial file
-    assert len((tmp_path / "steps.csv.partial").read_text().splitlines()) == 1 + 5
+    cfg = parse_config(tiny_config_data(phases=(300, 300, 300)))
+    block = runner._BLOCK_CELLS // len(csv_header(1, 2))
+    full = tmp_path / "full"
+    run_single(cfg, "baseline", 1, full)
+    complete = full.joinpath("steps.csv").read_text().splitlines(keepends=True)
+    # inside the first row block, and past its boundary
+    for fail_step in (5, block + 3):
+        out = tmp_path / f"fail{fail_step}"
+        run_single(cfg, "baseline", 0, out)  # an earlier run's results, to be cleared
+        monkeypatch.setattr(runner, "build_scheme",
+                            lambda kind, sc, *_, **__: _ActFailsAt(sc, fail_step))
+        with pytest.raises(RuntimeError, match=f"step {fail_step}"):
+            run_single(cfg, "baseline", 1, out)
+        monkeypatch.undo()
+        assert not (out / "steps.csv").exists()
+        assert not (out / "summary.json").exists()
+        # the completed steps' rows stay in the partial file, as a full run writes them
+        partial = (out / "steps.csv.partial").read_text()
+        assert partial == "".join(complete[:1 + fail_step])
 
 
 class _ActsOffSimplex(BaselineController):
@@ -777,6 +791,29 @@ def test_overflowing_peak_capacity_rejected_with_the_scenario_path(bandwidth, se
     data["scenario"].update(bandwidth_hz=bandwidth, se_max=se_max)
     with pytest.raises(ConfigError, match=re.escape(PEAK_OVERFLOW)):
         parse_config(data)
+
+
+@pytest.mark.parametrize("cells", [MAX_CELLS + 1, 1e9])
+def test_absurd_cell_count_rejected_before_any_topology_is_built(monkeypatch, cells):
+    def no_build(*args):
+        raise AssertionError("a topology builder ran")
+
+    monkeypatch.setitem(TOPOLOGY_BUILDERS, "ring", no_build)
+    with pytest.raises(ConfigError, match=re.escape(f"scenario.cells: must be <= {MAX_CELLS}")):
+        parse_config(tiny_config_data(cells=cells))
+
+
+def test_cell_count_at_the_bound_accepted():
+    assert parse_config(tiny_config_data(cells=MAX_CELLS)).scenario.cell_count == MAX_CELLS
+
+
+def test_cli_validate_reports_an_absurd_cell_count(tmp_path, capsys):
+    cfg_path = tmp_path / "huge.json"
+    cfg_path.write_text(json.dumps(tiny_config_data(cells=1e9)))
+    assert main(["validate", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: scenario.cells: must be <= {MAX_CELLS}\n"
 
 
 @pytest.mark.parametrize("bandwidth, se_max", OVERFLOWING_PEAKS)

@@ -4,11 +4,12 @@ coupled-load fixed point; and exactness
 tests of the whole-array environment step, the load solve, the mask
 lookup, observations, messages and rewards against the code they
 replaced, kept here as literal references. ``Mlp.input_grad`` must give
-the bits of ``Mlp.backward``'s input gradient. Last, configs with one or two
-leaves replaced by a degenerate value (NaN, an infinity, zero, a negative,
-a boolean, a subnormal, an empty list, a wrong type) must either be
-rejected with the path of a replaced leaf or run every scheme to finite
-rewards and KPIs.
+the bits of ``Mlp.backward``'s input gradient, and the runner's block
+CSV writer the bytes of the per-row ``repr``/``str`` join. Last, configs
+with one or two leaves replaced by a degenerate value (NaN, an infinity,
+zero, a negative, a boolean, a subnormal, an empty list, a wrong type)
+must either be rejected with the path of a replaced leaf or run every
+scheme to finite rewards and KPIs.
 
 ``derandomize=True`` makes hypothesis draw the same cases on every run, so
 the suite stays deterministic and its cost fixed.
@@ -20,6 +21,7 @@ import json
 import math
 import sys
 import tempfile
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +31,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from slicesim.harness.config import parse_config
-from slicesim.harness.runner import run_single
+from slicesim.harness.runner import (_BLOCK_CELLS, _block_layout, _write_block, csv_header,
+                                      run_single)
 from slicesim.mdp import (
     RewardSpec,
     StateScaling,
@@ -606,3 +609,48 @@ def test_mutated_toy_config_is_rejected_by_path_or_runs_finite(mutation):
 @given(mutated(grid12_data()))
 def test_mutated_grid_config_is_rejected_by_path_or_runs_finite(mutation):
     check_mutated_config(grid12_data(), *mutation)
+
+
+# floats the block writer must print exactly as repr does: both zeros, NaNs
+# with the default and other payloads, the infinities, the smallest
+# subnormal, and the values on each side of repr's switches to exponent form
+SPECIAL_FLOAT_BITS = np.array([
+    0x0000000000000000, 0x8000000000000000, 0x7FF8000000000000, 0x7FF8000000000ABC,
+    0xFFF8000000000001, 0x7FF0000000000000, 0xFFF0000000000000, 0x0000000000000001,
+], dtype=np.uint64).view(np.float64)
+SPECIAL_FLOATS = [1e16, 9999999999999998.0, 1e-4, 1e-5, 0.5, 3e6, 5e-4]
+SPECIAL_INTS = [0, 1, -1, 2 ** 63 - 1, -2 ** 63, 10 ** 18]
+
+
+def _rows_joined(floats, ints, phases, k, n):
+    """Reference: the per-row ``repr``/``str`` join the block writer replaced."""
+    spans = n + k + 3 * k * n
+    lines = []
+    for f, i, phase in zip(floats.tolist(), ints.tolist(), phases):
+        head = f"{i[0]},{phase},{f[0]!r},{f[1]!r},{f[2]!r},{f[3]!r},{f[4]!r},{i[1]}"
+        lines.append(",".join([head, *map(repr, f[5:5 + spans]), *map(str, i[2:]),
+                               *map(repr, f[5 + spans:])]) + "\n")
+    return "".join(lines)
+
+
+@PROPERTY
+@given(st.integers(1, 4), st.integers(1, 3), st.sampled_from(["one", "partial", "full"]),
+       st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=6),
+       st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), max_size=4), st.integers(0, 2 ** 32 - 1))
+def test_block_writer_matches_the_per_row_join(cells, slices, size, drawn_floats,
+                                               drawn_ints, seed):
+    k, n = cells, slices
+    block = _BLOCK_CELLS // len(csv_header(k, n))
+    rng = np.random.default_rng(seed)
+    rows = {"one": 1, "partial": int(rng.integers(2, block)), "full": block}[size]
+    float_pool = np.concatenate([SPECIAL_FLOAT_BITS, SPECIAL_FLOATS, drawn_floats,
+                                 rng.standard_normal(4)])
+    int_pool = np.array(SPECIAL_INTS + drawn_ints + [7, 42], dtype=np.int64)
+    # the writer sees whole block tables and formats their first rows only
+    floats = float_pool[rng.integers(len(float_pool), size=(block, 5 + n + k + 3 * k * n
+                                                              + k * (n + 1)))]
+    ints = int_pool[rng.integers(len(int_pool), size=(block, 2 + k * n))]
+    phases = [str(p) for p in rng.choice(["explore", "train", "eval"], size=rows)]
+    fh = StringIO()
+    _write_block(fh, floats, ints, phases, _block_layout(k, n))
+    assert fh.getvalue() == _rows_joined(floats[:rows], ints[:rows], phases, k, n)
