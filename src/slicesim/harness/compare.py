@@ -20,13 +20,17 @@ TABLE_METRICS = (
 
 
 def load_summary(path) -> dict:
-    """Read a summary.json; a run directory is accepted as shorthand."""
+    """Read a summary.json; a run directory is accepted as shorthand.
+
+    ``steps_csv`` is the run's path relative to where it ran, so the loaded
+    summary names the ``steps.csv`` beside the file instead."""
     p = Path(path)
     if p.is_dir():
         p = p / "summary.json"
     with open(p) as fh:
         summary = json.load(fh)
     summary["_path"] = str(p)
+    summary["steps_csv"] = str(p.parent / "steps.csv")
     return summary
 
 

@@ -58,17 +58,21 @@ def evaluate_static(scenario: Scenario, rewards: RewardSpec, allocation) -> floa
 
 
 def grid_search(scenario: Scenario, rewards: RewardSpec, step: float = 0.01) -> dict:
-    """Evaluate every allocation on the simplex grid; returns the best one.
+    """Evaluate every allocation on the simplex grid of spacing ``step``,
+    which must be 1/n for a whole n (within 1e-9 relative); returns the best
+    one.
 
     Ties keep the first hit in enumeration order, so results are
     deterministic for a given step size.
     """
     if not 0.0 < step <= 1.0:
         raise ValueError("step must lie in (0, 1]")
+    resolution = round(1.0 / step)
+    if abs(1.0 / step - resolution) > 1e-9 * resolution:
+        raise ValueError(f"step must be 1/n for a whole n, not {step}")
     # every user stays in the one cell and every mask is constant, so each
     # step of one environment scores its allocation as a fresh one would
     env = _static_env(scenario)
-    resolution = int(round(1.0 / step))
     best_alloc = None
     best_reward = -np.inf
     points = 0

@@ -16,6 +16,12 @@ A controller's step contract: ``act`` maps the current network state to
 scheme-appropriate rewards; ``train``, which only the learning controllers
 (``trains``) have, advances the learners and returns the agent's
 ``TrainDiagnostics``.
+
+The four learning kinds share one body, ``_LearningController``, whose
+``act`` passes the run phase to the agent as its action mode. ``build_scheme``
+chooses what differs: the agent's shape and member count, its observation
+function (global, local, or local plus message) and its reward function
+(global, local, or penalized).
 """
 
 from __future__ import annotations
@@ -42,7 +48,6 @@ SCHEME_KINDS = ("cen_pen", "cen_soft", "dist", "dist_comm", "baseline", "static_
 class Controller:
     """Common bookkeeping for every scheme."""
 
-    kind: str = "?"
     trains = False
 
     def __init__(self, scenario: Scenario):
@@ -78,8 +83,6 @@ def static_allocation_row(allocation_row, slice_count: int,
 class StaticController(Controller):
     """Fixed allocation, identical in every cell, never learns."""
 
-    kind = "static_default"
-
     def __init__(self, scenario, allocation_row):
         super().__init__(scenario)
         row = static_allocation_row(allocation_row, scenario.slice_count)
@@ -95,8 +98,6 @@ class BaselineController(Controller):
     Headroom is always zero; a cell with no active users at all splits
     equally across slices.
     """
-
-    kind = "baseline"
 
     def act(self, net, phase, step):
         alloc = baseline_allocation(net.users)
@@ -122,43 +123,46 @@ def annealed_epsilon(step: int, start: float, end: float, horizon: int) -> float
 
 
 class _LearningController(Controller):
-    """Shared plumbing of the TD3 schemes: one (possibly stacked) agent, the
-    horizon of its epsilon anneal, and a one-entry memo of the last observed
-    state matrix, so each network state is observed once although act and
-    record both need it.
-
-    Each subclass still defines ``act``, ``record`` and ``train`` itself,
-    where the per-class spans of ``benchmarks/spans.py`` look for them.
+    """The TD3 schemes' one body: a (possibly stacked) agent, an observation
+    function giving its ``(A, state_dim)`` states, a reward function of
+    ``(net, proposals)`` giving its ``(A,)`` rewards, the horizon of its
+    epsilon anneal, and a one-entry memo of the last observed state matrix,
+    so each network state is observed once although act and record both
+    need it.
     """
 
     trains = True
 
-    def __init__(self, scenario, rewards, scaling, agent: Td3Agent, anneal_steps: int):
+    def __init__(self, scenario, agent: Td3Agent, observe, reward, anneal_steps: int):
         super().__init__(scenario)
-        self.rewards = rewards
-        self.scaling = scaling
         self.agent = agent
+        self._observation = observe
+        self._reward = reward
         self.anneal_steps = anneal_steps
         self._memo: tuple[NetState, np.ndarray] | None = None
 
     def _observe(self, net: NetState) -> np.ndarray:
         """(A, state_dim) agent observations of ``net``."""
         if self._memo is None or self._memo[0] is not net:
-            self._memo = (net, self._states(net))
+            self._memo = (net, self._observation(net))
         return self._memo[1]
 
-    def _states(self, net: NetState) -> np.ndarray:
-        raise NotImplementedError
+    def act(self, net, phase, step):
+        epsilon = None
+        if phase == "train":
+            h = self.agent.hyper
+            epsilon = annealed_epsilon(step, h.epsilon_start, h.epsilon_end, self.anneal_steps)
+        prop, act = self.agent.select_action(self._observe(net), phase, epsilon)
+        shape = (self.scenario.cell_count, self.scenario.slice_count + 1)
+        return prop.reshape(shape), act.reshape(shape)
 
-    def _select(self, net: NetState, phase: str, step: int) -> tuple[np.ndarray, np.ndarray]:
-        states = self._observe(net)
-        if phase == "explore":
-            return self.agent.select_action(states, "explore_random")
-        if phase == "eval":
-            return self.agent.select_action(states, "eval")
-        h = self.agent.hyper
-        eps = annealed_epsilon(step, h.epsilon_start, h.epsilon_end, self.anneal_steps)
-        return self.agent.select_action(states, "train_noisy", eps)
+    def record(self, prev, proposals, net):
+        self.agent.buffer.add(Experience(
+            state=self._observe(prev), proposal=proposals.reshape(self.agent.members, -1),
+            reward=self._reward(net, proposals), next_state=self._observe(net)))
+
+    def train(self, step):
+        return self.agent.train_step(step)
 
     def param_count(self):
         return self.agent.param_count()
@@ -167,80 +171,23 @@ class _LearningController(Controller):
         return self.agent.members * self.agent.param_count()
 
 
+# The benchmark's per-class spans look for act, record and train in each
+# class's own __dict__, so the two public classes bind the shared body there.
+
 class CentralController(_LearningController):
-    """Single agent that sees every cell and emits the full allocation."""
+    """One agent that sees every cell and emits the full allocation
+    (``cen_soft``, ``cen_pen``)."""
 
-    def __init__(self, scenario, rewards, scaling, hyper: AgentHyperParams,
-                 rng: np.random.Generator, kind: str, anneal_steps: int):
-        k, n = scenario.cell_count, scenario.slice_count
-        mode = "penalty" if kind == "cen_pen" else "softmax_embedded"
-        cfg = Td3Config(state_dim=3 * n * k, action_dim=k * (n + 1), block_size=n + 1,
-                        actor_hidden=hyper.central_actor_hidden,
-                        critic_hidden=hyper.central_critic_hidden, constraint_mode=mode)
-        super().__init__(scenario, rewards, scaling, Td3Agent(cfg, hyper, [rng]), anneal_steps)
-        self.kind = kind
-
-    def _states(self, net):
-        return global_state(net, self.scaling)[None]
-
-    def act(self, net, phase, step):
-        prop, act = self._select(net, phase, step)
-        shape = (self.scenario.cell_count, self.scenario.slice_count + 1)
-        return prop.reshape(shape), act.reshape(shape)
-
-    def record(self, prev, proposals, net):
-        raw = reward_global(net, self.rewards)
-        if self.kind == "cen_pen":
-            # the mean gap over cells, as np.mean computes it
-            gaps = penalty_gaps(proposals)
-            stored = reward_penalized(raw, np.add.reduce(gaps) / gaps.size, self.rewards.beta)
-        else:
-            stored = raw
-        self.agent.buffer.add(Experience(
-            state=self._observe(prev), proposal=proposals.reshape(1, -1),
-            reward=np.array([stored]), next_state=self._observe(net)))
-
-    def train(self, step):
-        return self.agent.train_step(step)
+    act, record, train = (_LearningController.act, _LearningController.record,
+                          _LearningController.train)
 
 
 class DistributedController(_LearningController):
-    """One independent TD3 agent per cell on local observations, all trained
-    as one stacked learner.
+    """One independent agent per cell on local observations, all trained as
+    one stacked learner (``dist``, ``dist_comm``)."""
 
-    With ``use_messages`` each agent additionally sees the per-slice mean
-    load of its neighbours, refreshed from the same network state it acts on.
-    """
-
-    def __init__(self, scenario, rewards, scaling, hyper: AgentHyperParams,
-                 rng: np.random.Generator, use_messages: bool, anneal_steps: int):
-        k, n = scenario.cell_count, scenario.slice_count
-        state_dim = 3 * n + (n if use_messages else 0)
-        cfg = Td3Config(state_dim=state_dim, action_dim=n + 1, block_size=n + 1,
-                        actor_hidden=hyper.dist_actor_hidden,
-                        critic_hidden=hyper.dist_critic_hidden)
-        super().__init__(scenario, rewards, scaling, Td3Agent(cfg, hyper, rng.spawn(k)),
-                         anneal_steps)
-        self.kind = "dist_comm" if use_messages else "dist"
-        self.use_messages = use_messages
-
-    def _states(self, net):
-        states = local_state(net, self.scaling)
-        if self.use_messages:
-            message = extract_message(net, self.scenario.topology)
-            states = np.concatenate([states, message], axis=1)
-        return states
-
-    def act(self, net, phase, step):
-        return self._select(net, phase, step)
-
-    def record(self, prev, proposals, net):
-        self.agent.buffer.add(Experience(
-            state=self._observe(prev), proposal=proposals, reward=reward_local(net, self.rewards),
-            next_state=self._observe(net)))
-
-    def train(self, step):
-        return self.agent.train_step(step)
+    act, record, train = (_LearningController.act, _LearningController.record,
+                          _LearningController.train)
 
 
 def build_scheme(kind: str, scenario: Scenario, rewards: RewardSpec,
@@ -254,9 +201,46 @@ def build_scheme(kind: str, scenario: Scenario, rewards: RewardSpec,
         return StaticController(scenario, static_allocation)
     if kind == "baseline":
         return BaselineController(scenario)
+    k, n = scenario.cell_count, scenario.slice_count
     if kind in ("cen_pen", "cen_soft"):
-        return CentralController(scenario, rewards, scaling, hyper, rng, kind, anneal_steps)
+        mode = "penalty" if kind == "cen_pen" else "softmax_embedded"
+        cfg = Td3Config(state_dim=3 * n * k, action_dim=k * (n + 1), block_size=n + 1,
+                        actor_hidden=hyper.central_actor_hidden,
+                        critic_hidden=hyper.central_critic_hidden, constraint_mode=mode)
+
+        def observe(net):
+            return global_state(net, scaling)[None]
+
+        if kind == "cen_pen":
+            def reward(net, proposals):
+                raw = reward_global(net, rewards)
+                # the mean gap over cells, as np.mean computes it
+                gaps = penalty_gaps(proposals)
+                return np.array([reward_penalized(raw, np.add.reduce(gaps) / gaps.size,
+                                                  rewards.beta)])
+        else:
+            def reward(net, proposals):
+                return np.array([reward_global(net, rewards)])
+
+        return CentralController(scenario, Td3Agent(cfg, hyper, [rng]), observe, reward,
+                                 anneal_steps)
     if kind in ("dist", "dist_comm"):
-        return DistributedController(scenario, rewards, scaling, hyper, rng,
-                                     kind == "dist_comm", anneal_steps)
+        cfg = Td3Config(state_dim=3 * n + (n if kind == "dist_comm" else 0), action_dim=n + 1,
+                        block_size=n + 1, actor_hidden=hyper.dist_actor_hidden,
+                        critic_hidden=hyper.dist_critic_hidden)
+        if kind == "dist_comm":
+            # each agent also sees the per-slice mean load of its neighbours,
+            # from the same network state it acts on
+            def observe(net):
+                return np.concatenate(
+                    [local_state(net, scaling), extract_message(net, scenario.topology)], axis=1)
+        else:
+            def observe(net):
+                return local_state(net, scaling)
+
+        def reward(net, proposals):
+            return reward_local(net, rewards)
+
+        return DistributedController(scenario, Td3Agent(cfg, hyper, rng.spawn(k)), observe,
+                                     reward, anneal_steps)
     raise ConfigError(f"unknown scheme kind {kind!r}")

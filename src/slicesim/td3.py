@@ -50,7 +50,7 @@ from .mdp import project_or_reject
 from .nn import Adam, Mlp, MlpSpec
 
 CONSTRAINT_MODES = ("softmax_embedded", "penalty")
-ACTION_MODES = ("explore_random", "train_noisy", "eval")
+ACTION_MODES = ("explore", "train", "eval")
 _NETWORKS = ("actor", "critics", "actor_target", "critics_target")
 
 
@@ -257,21 +257,24 @@ class Td3Agent:
         """Return (raw proposals, executed on-simplex actions), both (A, action_dim),
         for states of shape (A, state_dim).
 
-        In ``train_noisy`` mode with an ``epsilon``, each agent first draws
-        u; u < epsilon replaces its actor output by a uniform simplex draw,
+        The modes are the run phases. ``explore`` ignores the states and
+        draws random proposals; ``eval`` executes the actor's output as it
+        is; ``train`` perturbs the actor's pre-head outputs with exploration
+        noise, and with an ``epsilon`` each agent first draws u, where
+        u < epsilon replaces its actor output by a uniform simplex draw,
         executed as drawn. Only proposals the actor produced are checked for
         non-finite values.
         """
         if mode not in ACTION_MODES:
             raise ValueError(f"unknown action mode {mode!r}")
         c = self.config
-        if mode == "explore_random":
+        if mode == "explore":
             proposals = np.stack([self._random_proposal(rng) for rng in self.rngs])
             return proposals, self._execute(proposals)
         z = self.actor.logits(states)
         drawn = np.zeros(self.members, dtype=bool)  # took a simplex draw, not the actor
         simplex = np.empty_like(z)
-        if mode == "train_noisy":
+        if mode == "train":
             for i, rng in enumerate(self.rngs):
                 if epsilon is not None and rng.random() < epsilon:
                     drawn[i] = True

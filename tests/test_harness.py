@@ -3,7 +3,9 @@
 import copy
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -440,6 +442,14 @@ def test_grid_search_coarse_step():
     assert res["reward"] == pytest.approx(0.75, abs=1e-12)
 
 
+@pytest.mark.parametrize("step", [0.3, 0.7, 0.015])
+def test_grid_search_rejects_a_step_that_is_not_one_over_a_whole_number(step):
+    # 1/0.3 would round to a grid of thirds and 1/0.7 to the vertices only
+    cfg = load_config(CONFIG_DIR / "toy.json")
+    with pytest.raises(ValueError, match="1/n"):
+        grid_search(cfg.scenario, cfg.rewards, step=step)
+
+
 def test_evaluate_static_requires_single_cell_constant_masks():
     ref = load_config(CONFIG_DIR / "reference.json")
     with pytest.raises(ConfigError, match="single-cell"):
@@ -868,6 +878,14 @@ def test_cli_oracle_grid(capsys):
     assert res["allocation"] == pytest.approx([0.0, 0.6, 0.4], abs=1e-12)
 
 
+def test_cli_oracle_grid_rejects_a_step_that_is_not_one_over_a_whole_number(capsys):
+    code = main(["oracle", "grid", "--config", str(CONFIG_DIR / "toy.json"), "--step", "0.3"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: step must be 1/n")
+
+
 def test_cli_run_and_compare(tmp_path, capsys):
     cfg_path = tmp_path / "tiny.json"
     cfg_path.write_text(json.dumps(tiny_config_data()))
@@ -902,3 +920,41 @@ def test_run_experiment_rejects_duplicate_scheme_overrides(tmp_path):
     with pytest.raises(ConfigError, match=re.escape("scheme.kind[1]: duplicate")):
         run_experiment(cfg, schemes=["baseline", "baseline"], out_root=tmp_path / "runs")
     assert not (tmp_path / "runs").exists()
+
+
+def test_cli_compare_curves_from_another_directory(tmp_path, monkeypatch, capsys):
+    # the summary names its steps.csv relative to where the run started
+    cfg_path = tmp_path / "tiny.json"
+    cfg_path.write_text(json.dumps(tiny_config_data(phases=(50, 60, 40))))
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    monkeypatch.chdir(tmp_path / "a")
+    assert main(["run", "--config", str(cfg_path), "--out", "runs/t"]) == 0
+    monkeypatch.chdir(tmp_path / "b")
+    run_dir = Path("..", "a", "runs", "t", "static_default", "seed0")
+    assert main(["compare", str(run_dir), "--curves", "out.json"]) == 0
+    assert "curves written to out.json" in capsys.readouterr().out
+    curves = json.loads(Path("out.json").read_text())
+    raw = smooth(read_column(run_dir / "steps.csv", "reward_raw"), window=100)
+    assert curves["static_default"]["values"] == raw[::50].tolist()
+
+
+def test_cli_run_reports_a_diverging_learner_in_one_line(tmp_path):
+    # learning rates of 1e300 overflow the first update, and Adam refuses the
+    # next, non-finite gradient; run in a process of its own to see what a
+    # user sees on stderr
+    data = tiny_config_data(phases=(40, 10, 5), kind="dist")
+    data["agent"] = {"actor_lr": 1e300, "critic_lr": 1e300}
+    cfg_path = tmp_path / "diverging.json"
+    cfg_path.write_text(json.dumps(data))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "slicesim.harness.cli", "run", "--config", str(cfg_path),
+         "--out", str(tmp_path / "runs")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "non-finite" in errors[0]

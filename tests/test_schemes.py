@@ -208,7 +208,7 @@ def test_cen_pen_stores_penalized_reward():
 def test_dist_comm_state_includes_message():
     ctl, sc, *_ = controller("dist_comm")
     net = make_net(sc, load=0.42)
-    s = ctl._states(net)[0]
+    s = ctl._observe(net)[0]
     assert s.shape == (8,)
     # every neighbour runs at load 0.42, so the message is exactly that
     assert s[6:] == pytest.approx([0.42, 0.42])

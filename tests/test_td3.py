@@ -45,7 +45,7 @@ def fill_buffer(agent, n, seed=1, reward_fn=None):
     c = agent.config
     for _ in range(n):
         s = rng.random((1, c.state_dim))
-        prop, _ = agent.select_action(s, "explore_random")
+        prop, _ = agent.select_action(s, "explore")
         r = float(rng.random()) if reward_fn is None else reward_fn(s, prop)
         agent.buffer.add(Experience(s, prop, np.array([r]), rng.random((1, c.state_dim))))
 
@@ -185,8 +185,8 @@ def test_explore_random_reproducible():
     a1 = make_agent(seed=7)
     a2 = make_agent(seed=7)
     s = np.zeros((1, 4))
-    p1, e1 = a1.select_action(s, "explore_random")
-    p2, e2 = a2.select_action(s, "explore_random")
+    p1, e1 = a1.select_action(s, "explore")
+    p2, e2 = a2.select_action(s, "explore")
     assert np.array_equal(p1, p2) and np.array_equal(e1, e2)
     assert p1.sum() == pytest.approx(1.0, abs=1e-9)  # uniform simplex draw
 
@@ -204,7 +204,7 @@ def test_penalty_mode_proposal_and_projection():
 def test_train_noisy_respects_simplex_in_softmax_mode():
     agent = make_agent(seed=3)
     for _ in range(10):
-        _, act = agent.select_action(np.random.default_rng(4).random((1, 4)), "train_noisy")
+        _, act = agent.select_action(np.random.default_rng(4).random((1, 4)), "train")
         assert act.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(act >= 0)
 
@@ -529,7 +529,7 @@ def test_stacked_agents_match_serial_agents_bit_for_bit(mode):
     data = np.random.default_rng(43)
     for step in range(40):
         states = data.random((3, 4))
-        phase = ("explore_random", "train_noisy", "eval")[min(step // 12, 2)]
+        phase = ("explore", "train", "eval")[min(step // 12, 2)]
         props, acts = stacked.select_action(states, phase, epsilon=0.5)
         for i, agent in enumerate(serial):
             p, a = agent.select_action(states[i:i + 1], phase, epsilon=0.5)
@@ -559,7 +559,7 @@ def test_non_finite_check_skips_agents_that_drew_a_random_action():
     stacked, _ = stacked_and_serial()
     stacked.actor.flat[1] = np.nan
     # epsilon 1: every agent takes a simplex draw, so agent 1's actor is unused
-    _, acts = stacked.select_action(np.zeros((3, 4)), "train_noisy", epsilon=1.0)
+    _, acts = stacked.select_action(np.zeros((3, 4)), "train", epsilon=1.0)
     assert np.isfinite(acts).all()
     with pytest.raises(FloatingPointError):
-        stacked.select_action(np.zeros((3, 4)), "train_noisy", epsilon=0.0)
+        stacked.select_action(np.zeros((3, 4)), "train", epsilon=0.0)
