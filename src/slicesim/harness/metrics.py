@@ -10,18 +10,19 @@ from ..netsim import NetState, Topology
 def resource_efficiency(net: NetState, allocation: np.ndarray,
                         topology: Topology) -> np.ndarray:
     """Each cell's average served throughput per allocated bandwidth
-    (bit/s/Hz), as a (K,) array.
+    (bit/s/Hz), as a (K,) array, or (T, K) for a stack of T states and
+    allocations.
 
     Per slice: served traffic (per-user throughput times users) divided by
     the slice's allocated bandwidth; slices with zero allocation contribute
     zero. A cell's value is the mean over its slices.
     """
     served = net.throughput * net.users
-    share = allocation[:, 1:]
+    share = allocation[..., 1:]
     terms = np.zeros_like(served, dtype=float)
     np.divide(served, share * topology.bandwidth_hz, out=terms, where=share > 0)
     # the mean over slices, as np.mean computes it
-    return np.add.reduce(terms, 1) / terms.shape[1]
+    return np.add.reduce(terms, -1) / terms.shape[-1]
 
 
 def mask_correlation(actions, mask_values) -> float:

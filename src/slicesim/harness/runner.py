@@ -5,26 +5,44 @@ scheme-independent schema. Floats are serialized with ``repr`` so re-parsing
 gives back the exact same doubles; identical config and seed therefore
 produce byte-identical CSVs.
 
-Rows are formatted a block at a time. Each step stores its values in a
-preallocated block (a float table, an int table and the phase strings), and
-``_write_block`` formats a full block with each distinct value of it
-formatted once, then writes it with one call. The last, partial block is
-written when the run ends; a run that raises still writes every completed
-step's row before the error propagates.
+A run goes a block of ``4096 // columns`` steps at a time, by one of two
+drivers:
 
-Each step's values are computed once: the step's mean penalty gap feeds both
-the ``penalty`` column and the penalized reward, and one ``resource_efficiency``
-call gives every cell's efficiency. What ``summary.json`` reads is stored in
-arrays indexed by step (per-slice values summed over cells, the allocation
-share averaged over cells), and the summary is built from those arrays.
+* An open-loop controller (the heuristics, ``Controller.open_loop``) acts on
+  user counts alone, and the environment's traffic never depends on the
+  allocations. So each block's traffic is drawn ahead (``SliceEnv.draw``),
+  the controller acts once on the stacked user counts of the states it acts
+  on, and one ``SliceEnv.step`` validates, solves and scores the block as a
+  stack.
+* Every other controller runs act, step, record and train one step at a
+  time, and its block's states are stacked when the block is full.
+
+Either way one routine, ``_Record.settle``, turns the block's stacked
+states into its rows and its entries of the summary arrays: rewards,
+penalties and efficiencies are computed as (T,) and (T, K) arrays, with
+the bits each step's values have when computed alone. ``_write_block`` then
+formats the block's tables with each distinct value formatted once and
+writes them with one call. The last, partial block is written when the run
+ends; when the per-step driver raises, it still writes every completed
+step's row before the error propagates. The block driver settles nothing of
+a block that raises: an allocation off the per-cell simplex refuses its
+whole block, and the error names the step.
+
+The step's mean penalty gap feeds both the ``penalty`` column and the
+penalized reward, and one ``resource_efficiency`` call gives every cell's
+efficiency. What ``summary.json`` reads is stored in arrays indexed by step
+(per-slice values summed over cells, the allocation share averaged over
+cells), and the summary is built from those arrays.
 
 Rows go to ``steps.csv.partial``, which becomes ``steps.csv`` only when
 the run completes, so a run that raises leaves neither ``steps.csv`` nor
 ``summary.json``, not even an earlier run's in the same directory (the
-partial file stays, ending with the last completed step). An allocation off
+partial file stays, ending with the last settled step). An allocation off
 the per-cell simplex is such a failure: ``SliceEnv.step`` raises
 ``ConstraintViolationError`` for it. A learning scheme also saves its agent
-as ``checkpoints/agent.npz``, the arrays of ``Td3Agent.state``.
+as ``checkpoints/agent.npz``, the arrays of ``Td3Agent.state``. The summary
+names ``steps.csv`` and the checkpoint by absolute paths, so they can be
+read from any directory.
 """
 
 from __future__ import annotations
@@ -37,7 +55,7 @@ from pathlib import Path
 import numpy as np
 
 from ..mdp import penalty_gaps, reward_global, reward_penalized
-from ..netsim import SliceEnv
+from ..netsim import NetState, SliceEnv
 from ..schemes import build_scheme
 from .config import ExperimentConfig, parse_scheme_kinds, parse_seeds
 from .metrics import mask_correlation, resource_efficiency, steps_to_fraction_of_final
@@ -98,16 +116,133 @@ def _write_block(fh, floats, ints, phases, layout) -> None:
     fh.write("".join([",".join(row) + "\n" for row in cells.tolist()]))
 
 
+class _Record:
+    """What a run keeps of its steps: the summary's arrays, one entry per
+    step (per-slice values summed over cells, except the allocation share,
+    a mean over cells), and one block of CSV rows, a float table (the five
+    head scalars, mask, eta, phi, delay, load, actions), an int table
+    (step, fp_converged, users) and the phase strings."""
+
+    def __init__(self, cfg: ExperimentConfig, fh):
+        sc, plan = cfg.scenario, cfg.phases
+        self.k, n = sc.cell_count, sc.slice_count
+        self.rewards, self.topology, self.fh = cfg.rewards, sc.topology, fh
+        self.raw, self.pen_reward, self.penalty, self.eta_mean = (
+            np.empty(plan.total) for _ in range(4))
+        self.served, self.users, self.delay_w, self.share, self.mask = (
+            np.empty((plan.total, n)) for _ in range(5))
+        self.nonconverged = 0
+        self.phases = [plan.phase_of(step) for step in range(plan.total)]
+        header = csv_header(self.k, n)
+        self.block_rows = max(1, _BLOCK_CELLS // len(header))
+        self.layout = float_cols, int_cols = _block_layout(self.k, n)
+        self.floats = np.empty((self.block_rows, len(float_cols)))
+        self.ints = np.empty((self.block_rows, len(int_cols)), dtype=np.int64)
+        fh.write(",".join(header) + "\n")
+
+    def settle(self, first: int, nets: NetState, proposals: np.ndarray, alloc: np.ndarray,
+               critic=np.nan, actor=np.nan) -> None:
+        """Write the rows of the block of steps from ``first``, a stack of
+        T states with its (T, K, N+1) proposals and allocations and the
+        (T,) mean critic loss and actor objective (NaN where none trained),
+        and fill the block's entries of the summary arrays."""
+        count, k = len(alloc), self.k
+        steps = slice(first, first + count)
+        # a mean over cells is np.add.reduce over them divided by k, as
+        # np.mean computes it, without np.mean's Python layer
+        self.raw[steps] = raw = reward_global(nets, self.rewards)
+        self.penalty[steps] = gaps = np.add.reduce(penalty_gaps(proposals), -1) / k
+        self.pen_reward[steps] = pen = reward_penalized(raw, gaps, self.rewards.beta)
+        eta = resource_efficiency(nets, alloc, self.topology)
+        self.eta_mean[steps] = np.add.reduce(eta, -1) / k
+        self.served[steps] = np.add.reduce(nets.throughput * nets.users, -2)
+        self.users[steps] = np.add.reduce(nets.users, -2)
+        self.delay_w[steps] = np.add.reduce(nets.delay * nets.users, -2)
+        self.share[steps] = np.add.reduce(alloc[..., 1:], -2) / k
+        self.mask[steps] = nets.mask
+        self.nonconverged += count - int(np.count_nonzero(nets.fp_converged))
+
+        floats, ints = self.floats[:count], self.ints[:count]
+        floats[:, 0], floats[:, 1], floats[:, 2] = raw, pen, gaps
+        floats[:, 3], floats[:, 4] = critic, actor
+        np.concatenate([nets.mask, eta] + [x.reshape(count, -1) for x in (
+            nets.throughput, nets.delay, nets.load, alloc)], axis=1, out=floats[:, 5:])
+        ints[:, 0] = np.arange(first, first + count)
+        ints[:, 1] = nets.fp_converged
+        ints[:, 2:] = nets.users.reshape(count, -1)
+        _write_block(self.fh, self.floats, self.ints, self.phases[steps], self.layout)
+
+
+def _run_blocks(env: SliceEnv, controller, plan, state: NetState, record: _Record) -> None:
+    """Step an open-loop controller a block at a time: draw the block's
+    traffic, act once on the stacked users of the states it acts on, step
+    the block as one stack and settle it."""
+    users = state.users
+    for first in range(0, plan.total, record.block_rows):
+        drawn = env.draw(min(record.block_rows, plan.total - first))
+        # each step acts on the state before it: the last block's final
+        # state, then the block's own states but its last
+        acted = np.concatenate([users[None], drawn[:-1]])
+        proposals, alloc = controller.act(acted, plan.phase_of(first), first)
+        record.settle(first, env.step(alloc), proposals, alloc)
+        users = drawn[-1]
+
+
+def _run_steps(env: SliceEnv, controller, plan, state: NetState, record: _Record) -> None:
+    """Act, step, record and train one step at a time, and settle each
+    block of completed steps as a stack; the steps completed before an
+    error are settled before it propagates."""
+    held: list[tuple] = []  # (step, state, proposals, allocation, critic, actor) per step
+
+    def settle():
+        if held:
+            steps, nets, proposals, alloc, critic, actor = zip(*held)
+            record.settle(steps[0], _stack(nets), np.stack(proposals), np.stack(alloc),
+                          critic, actor)
+            held.clear()
+
+    try:
+        for step in range(plan.total):
+            phase = plan.phase_of(step)
+            proposals, alloc = controller.act(state, phase, step)
+            nxt = env.step(alloc)
+            if phase != "eval":
+                controller.record(state, proposals, nxt)
+            diag = controller.train(step) if phase == "train" and controller.trains else None
+            # mean over agents; with one agent this is its own value, exactly
+            if diag:
+                agents = diag.critic_loss.size
+                critic = float(np.add.reduce(diag.critic_loss) / agents)
+                actor = float(np.add.reduce(diag.actor_objective) / agents)
+            else:
+                critic = actor = float("nan")
+            held.append((step, nxt, proposals, alloc, critic, actor))
+            if len(held) == record.block_rows:
+                settle()
+            state = nxt
+    finally:
+        settle()
+
+
+def _stack(nets) -> NetState:
+    """One stack of states from a sequence of single states."""
+    return NetState(
+        throughput=np.stack([s.throughput for s in nets]), delay=np.stack([s.delay for s in nets]),
+        load=np.stack([s.load for s in nets]), users=np.stack([s.users for s in nets]),
+        t=np.array([s.t for s in nets]), fp_converged=np.array([s.fp_converged for s in nets]),
+        mask=np.array([s.mask for s in nets]))
+
+
 def run_single(cfg: ExperimentConfig, kind: str, seed: int, out_dir) -> dict:
     """Run one scheme under one seed; returns the summary dict."""
     t_start = time.perf_counter()
-    out = Path(out_dir)
+    out = Path(out_dir).resolve()
     out.mkdir(parents=True, exist_ok=True)
     # a failed rerun must not leave an earlier run's results looking current
     for stale in ("steps.csv", "summary.json"):
         (out / stale).unlink(missing_ok=True)
     sc = cfg.scenario
-    k, n = sc.cell_count, sc.slice_count
+    n = sc.slice_count
     plan = cfg.phases
 
     env_ss, ctl_ss = np.random.SeedSequence(seed).spawn(2)
@@ -116,77 +251,17 @@ def run_single(cfg: ExperimentConfig, kind: str, seed: int, out_dir) -> dict:
                               np.random.default_rng(ctl_ss), plan.anneal_steps,
                               static_allocation=cfg.static_allocation)
 
-    # what the summary reads, one entry per step; per-slice values are
-    # summed over cells, except the allocation share, a mean over cells
-    raw, pen_reward, penalty, eta_mean = (np.empty(plan.total) for _ in range(4))
-    served, users, delay_w, share, mask = (np.empty((plan.total, n)) for _ in range(5))
-    nonconverged = 0
-
-    # one block of rows: a float table (the five head scalars, mask, eta,
-    # phi, delay, load, actions), an int table (step, fp_converged, users)
-    # and the phase strings
-    header = csv_header(k, n)
-    block_rows = max(1, _BLOCK_CELLS // len(header))
-    layout = float_cols, int_cols = _block_layout(k, n)
-    floats = np.empty((block_rows, len(float_cols)))
-    ints = np.empty((block_rows, len(int_cols)), dtype=np.int64)
-    phases = []
-
     state = env.reset()
     csv_path = out / "steps.csv"
     partial_path = out / "steps.csv.partial"
     with open(partial_path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        try:
-            for step in range(plan.total):
-                phase = plan.phase_of(step)
-                proposals, alloc = controller.act(state, phase, step)
-                nxt = env.step(alloc)
-                if not nxt.fp_converged:
-                    nonconverged += 1
-
-                # a mean over cells is np.add.reduce over them divided by k, as
-                # np.mean computes it, without np.mean's Python layer
-                raw[step] = reward = reward_global(nxt, cfg.rewards)
-                penalty[step] = mean_gap = float(np.add.reduce(penalty_gaps(proposals)) / k)
-                pen_reward[step] = reward_pen = reward_penalized(reward, mean_gap, cfg.rewards.beta)
-                if phase != "eval":
-                    controller.record(state, proposals, nxt)
-                diag = controller.train(step) if phase == "train" and controller.trains else None
-
-                mask[step] = nxt.mask
-                eta = resource_efficiency(nxt, alloc, sc.topology)
-                eta_mean[step] = np.add.reduce(eta) / k
-                served[step] = np.add.reduce(nxt.throughput * nxt.users, 0)
-                users[step] = np.add.reduce(nxt.users, 0)
-                delay_w[step] = np.add.reduce(nxt.delay * nxt.users, 0)
-                share[step] = np.add.reduce(alloc[:, 1:], 0) / k
-
-                # mean over agents; with one agent this is its own value, exactly
-                if diag:
-                    agents = diag.critic_loss.size
-                    critic = float(np.add.reduce(diag.critic_loss) / agents)
-                    actor = float(np.add.reduce(diag.actor_objective) / agents)
-                else:
-                    critic = actor = float("nan")
-                row = len(phases)
-                frow = floats[row]
-                frow[:5] = reward, reward_pen, mean_gap, critic, actor
-                np.concatenate([mask[step], eta, nxt.throughput, nxt.delay, nxt.load, alloc],
-                               axis=None, out=frow[5:])
-                irow = ints[row]
-                irow[0] = step
-                irow[1] = nxt.fp_converged
-                irow[2:] = nxt.users.reshape(-1)
-                phases.append(phase)
-                if len(phases) == block_rows:
-                    _write_block(fh, floats, ints, phases, layout)
-                    phases.clear()
-                state = nxt
-        finally:
-            # every completed step's row reaches the file, also when the run raises
-            if phases:
-                _write_block(fh, floats, ints, phases, layout)
+        record = _Record(cfg, fh)
+        drive = _run_blocks if controller.open_loop else _run_steps
+        drive(env, controller, plan, state, record)
+    raw, pen_reward, penalty, eta_mean = (
+        record.raw, record.pen_reward, record.penalty, record.eta_mean)
+    served, users, delay_w, share, mask = (
+        record.served, record.users, record.delay_w, record.share, record.mask)
 
     train = slice(plan.explore, plan.anneal_steps)
     ev = slice(plan.anneal_steps, plan.total)
@@ -204,7 +279,7 @@ def run_single(cfg: ExperimentConfig, kind: str, seed: int, out_dir) -> dict:
         "mean_eval_reward_penalized": eval_mean(pen_reward),
         "mean_eval_eta": eval_mean(eta_mean),
         "simplex_violations": 0,  # env.step raises on an off-simplex allocation
-        "fp_nonconverged_steps": nonconverged,
+        "fp_nonconverged_steps": record.nonconverged,
         "param_count": int(controller.param_count()),
         "total_param_count": int(controller.total_param_count()),
     }

@@ -93,7 +93,8 @@ def extract_message(net: NetState, topology: Topology) -> np.ndarray:
 
 
 def reward_local(net: NetState, spec: RewardSpec) -> np.ndarray:
-    """Bottleneck service score of every cell, a (K,) array in [0, 1].
+    """Bottleneck service score of every cell, a (K,) array in [0, 1], or
+    (T, K) for a stack of T states.
 
     Per active slice the score is min(throughput ratio, delay ratio, 1);
     a cell's score is its worst slice. Idle slices (no users) are skipped;
@@ -103,25 +104,29 @@ def reward_local(net: NetState, spec: RewardSpec) -> np.ndarray:
     if spec.uses_delay:
         terms = np.minimum(terms, np.asarray(spec.delay_req) / net.delay)
     terms[net.users == 0] = np.inf
-    return np.minimum(terms.min(axis=1), 1.0)
+    return np.minimum(terms.min(axis=-1), 1.0)
 
 
-def reward_global(net: NetState, spec: RewardSpec) -> float:
-    """Network-wide score: the worst cell's score."""
-    return float(reward_local(net, spec).min())
+def reward_global(net: NetState, spec: RewardSpec):
+    """Network-wide score: the worst cell's score; a (T,) array for a stack
+    of T states."""
+    worst = reward_local(net, spec).min(axis=-1)
+    return float(worst) if worst.ndim == 0 else worst
 
 
 def penalty_gaps(proposal: np.ndarray) -> np.ndarray:
     """Per-cell budget gap |1 - sum| of a raw action proposal, which
-    punishes over- and under-spending alike."""
+    punishes over- and under-spending alike; (K,), or (T, K) for a stack."""
     a = np.asarray(proposal, dtype=float)
     return np.abs(a.sum(axis=-1) - 1.0)
 
 
-def reward_penalized(raw_reward: float, mean_gap: float, beta: float) -> float:
+def reward_penalized(raw_reward, mean_gap, beta: float):
     """Raw reward minus beta times ``mean_gap``, the mean of the budget gaps
-    that :func:`penalty_gaps` gives for a proposal."""
-    return float(raw_reward - beta * mean_gap)
+    that :func:`penalty_gaps` gives for a proposal; (T,) arrays of both give
+    the (T,) rewards of a stack of steps."""
+    reward = raw_reward - beta * mean_gap
+    return float(reward) if np.ndim(reward) == 0 else reward
 
 
 # ---------------------------------------------------------------------------

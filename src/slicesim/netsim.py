@@ -4,6 +4,12 @@ The simulator is deliberately small and fully deterministic under a seed:
 users perform a Markov walk over cells, per-slice traffic is scaled by a
 periodic mask, and the per-slice loads are the fixed point of a coupling map
 in which a cell's effective capacity shrinks with its neighbours' total load.
+
+The traffic never depends on the allocations, so the environment can draw a
+block of steps' traffic ahead (``SliceEnv.draw``) and then step all of them
+under a stack of allocations at once. Validation, the load solve and the
+KPIs take an optional leading step axis: (T, K, N) arrays for T steps, each
+step computed with the bits it has when stepped alone.
 """
 
 from __future__ import annotations
@@ -191,23 +197,27 @@ class NetState:
     allocated capacity in use, ``users`` the active-user count. ``mask``
     holds each slice's traffic-mask value at ``t``, evaluated once by the
     environment that made the state.
+
+    A stack of T states, as ``SliceEnv.step`` returns for a stack of
+    allocations, has a leading step axis: (T, K, N) arrays, ``t`` and
+    ``fp_converged`` as (T,) arrays and ``mask`` as a (T, N) array.
     """
 
-    throughput: np.ndarray  # (K, N)
-    delay: np.ndarray  # (K, N)
-    load: np.ndarray  # (K, N)
-    users: np.ndarray  # (K, N) int
-    t: int
-    fp_converged: bool = True
-    mask: tuple[float, ...] = ()
+    throughput: np.ndarray  # ([T,] K, N)
+    delay: np.ndarray  # ([T,] K, N)
+    load: np.ndarray  # ([T,] K, N)
+    users: np.ndarray  # ([T,] K, N) int
+    t: int | np.ndarray
+    fp_converged: bool | np.ndarray = True
+    mask: tuple[float, ...] | np.ndarray = ()
 
     @property
     def cell_count(self) -> int:
-        return self.throughput.shape[0]
+        return self.throughput.shape[-2]
 
     @property
     def slice_count(self) -> int:
-        return self.throughput.shape[1]
+        return self.throughput.shape[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -218,26 +228,42 @@ SIMPLEX_ATOL = 1e-9
 
 
 def validate_allocation(allocation: np.ndarray, cell_count: int, slice_count: int,
-                        atol: float = SIMPLEX_ATOL) -> np.ndarray:
-    """Check an action matrix against the per-cell simplex invariant.
+                        atol: float = SIMPLEX_ATOL, step: int | None = None) -> np.ndarray:
+    """Check an action matrix, or a stack of them, against the per-cell
+    simplex invariant.
 
-    Expects shape (K, N+1) with column 0 the headroom; every entry in [0, 1]
-    and every row summing to 1 within ``atol``. Returns the array unchanged.
+    Expects shape (K, N+1), or (T, K, N+1) for T steps, with column 0 the
+    headroom; every entry in [0, 1] and every row summing to 1 within
+    ``atol``. Returns the array unchanged. A stack is refused whole at its
+    first offending step. ``step`` numbers the (first) step, and the error
+    then names the offending one.
     """
     a = np.asarray(allocation, dtype=float)
-    if a.shape != (cell_count, slice_count + 1):
+    if a.ndim not in (2, 3) or a.shape[-2:] != (cell_count, slice_count + 1):
         raise ConstraintViolationError(
-            f"allocation shape {a.shape} != ({cell_count}, {slice_count + 1})")
+            f"allocation shape {a.shape} != ([T,] {cell_count}, {slice_count + 1})")
+    # a NaN fails every comparison, and the sums are formed only of entries
+    # in range, so only a valid stack passes
+    if (np.minimum.reduce(a, None) >= -atol and np.maximum.reduce(a, None) <= 1 + atol
+            and np.maximum.reduce(np.abs(np.add.reduce(a, -1) - 1.0), None) <= atol):
+        return a
+    # the whole-stack check failed, so some step has a problem: name the first
+    steps = a.reshape(-1, cell_count, slice_count + 1)
+    i, problem = next((i, p) for i, p in enumerate(_simplex_problem(s, atol) for s in steps) if p)
+    raise ConstraintViolationError(("" if step is None else f"step {step + i}: ") + problem)
+
+
+def _simplex_problem(a: np.ndarray, atol: float) -> str:
+    """What is wrong with one (K, N+1) allocation, or '' when it is valid."""
     if not np.isfinite(a).all():
-        raise ConstraintViolationError("allocation contains non-finite entries")
+        return "allocation contains non-finite entries"
     if (a < -atol).any() or (a > 1 + atol).any():
-        raise ConstraintViolationError("allocation entries outside [0, 1]")
+        return "allocation entries outside [0, 1]"
     gaps = np.abs(a.sum(axis=1) - 1.0)
     if (gaps > atol).any():
         k = int(np.argmax(gaps))
-        raise ConstraintViolationError(
-            f"cell {k} allocation sums to {a[k].sum():.12f}, off simplex by {gaps[k]:.3e}")
-    return a
+        return f"cell {k} allocation sums to {a[k].sum():.12f}, off simplex by {gaps[k]:.3e}"
+    return ""
 
 
 # ---------------------------------------------------------------------------
@@ -246,20 +272,31 @@ def validate_allocation(allocation: np.ndarray, cell_count: int, slice_count: in
 
 
 def walk_users(rng: np.random.Generator, topology: Topology, positions: np.ndarray,
-               p_stay: float) -> np.ndarray:
-    """One Markov-walk step for every (potential) user.
+               p_stay: float, steps: int | None = None) -> np.ndarray:
+    """Markov-walk steps for every (potential) user.
 
     Each user stays in its cell with probability ``p_stay``, otherwise moves
     to a uniformly random neighbour. Users in a cell without neighbours stay.
+    A step draws one uniform per user for the move and one for the
+    neighbour, the latter unconditionally to keep the stream aligned.
+
+    Without ``steps`` this is one step, returned in ``positions``' shape.
+    With ``steps`` the walk advances that many steps from one
+    ``rng.random((steps, 2, users))`` draw, the same stream as that many
+    steps' pairs of draws, and returns the (steps, *positions.shape)
+    positions after each step.
     """
     table, degree = neighbor_table(topology)
     flat = positions.ravel()
-    move = rng.random(flat.shape[0]) >= p_stay
-    draws = rng.random(flat.shape[0])  # drawn unconditionally to keep the stream aligned
-    # truncation of the non-negative product picks neighbour floor(draw * degree);
-    # a cell without neighbours has only itself in its row
-    pick = (draws * degree[flat]).astype(np.int64)
-    return np.where(move, table[flat, pick], flat).reshape(positions.shape)
+    draws = rng.random((1 if steps is None else steps, 2, flat.shape[0]))
+    moves = draws[:, 0] >= p_stay
+    out = np.empty((len(draws), flat.shape[0]), dtype=positions.dtype)
+    for i in range(len(draws)):
+        # truncation of the non-negative product picks neighbour floor(draw *
+        # degree); a cell without neighbours has only itself in its row
+        pick = (draws[i, 1] * degree[flat]).astype(np.int64)
+        flat = out[i] = np.where(moves[i], table[flat, pick], flat)
+    return out.reshape(positions.shape if steps is None else (steps, *positions.shape))
 
 
 @lru_cache(maxsize=16)
@@ -282,15 +319,17 @@ def neighbor_table(topology: Topology) -> tuple[np.ndarray, np.ndarray]:
     return table, degree
 
 
-def _capacity(adjacency: np.ndarray, coupling: float, peak: np.ndarray, loads: np.ndarray,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """``peak`` capacity shrunk by the neighbours' total load."""
-    denom = 1.0 + coupling * (adjacency @ loads.sum(axis=1))
-    return np.divide(peak, denom[:, None], out=out)
+def _capacity(adjacency: np.ndarray, coupling: float, peak: np.ndarray,
+              loads: np.ndarray) -> np.ndarray:
+    """``peak`` capacity shrunk by the neighbours' total load, for ([T,] K, N)
+    arrays; the neighbour sum is one matrix-vector product per step."""
+    total = np.add.reduce(loads, -1)
+    denom = 1.0 + coupling * np.matmul(adjacency, total[..., None])
+    return peak / denom
 
 
 def _peak_capacity(topology: Topology, allocation: np.ndarray) -> np.ndarray:
-    return allocation[:, 1:] * topology.bandwidth_hz * topology.se_max
+    return allocation[..., 1:] * topology.bandwidth_hz * topology.se_max
 
 
 def solve_coupled_loads(topology: Topology, allocation: np.ndarray, offered: np.ndarray,
@@ -304,19 +343,42 @@ def solve_coupled_loads(topology: Topology, allocation: np.ndarray, offered: np.
     point; if the max-norm change stays above ``tol`` after ``max_iter``
     rounds the last iterate is returned with converged=False.
 
+    ``allocation`` (T, K, N+1) and ``offered`` (T, K, N) solve T steps at
+    once, each stopping at its own round with the bits it has when solved
+    alone. ``converged`` is then whether every step converged and
+    ``iterations`` the sum of the steps' rounds; ``_solve_steps`` gives them
+    per step.
+    """
+    loads, rounds, converged = _solve_steps(topology, allocation, offered, tol, max_iter)
+    return loads, bool(np.logical_and.reduce(converged)), int(np.add.reduce(rounds))
+
+
+def _solve_steps(topology: Topology, allocation: np.ndarray, offered: np.ndarray,
+                 tol: float = 1e-6, max_iter: int = 1000):
+    """The loads of ``solve_coupled_loads`` with each step's rounds and
+    convergence flag, as (T,) arrays (T = 1 without a step axis).
+
     The capacity is ``peak / denom`` with ``denom = 1 + coupling * (A @ row
     sums of the loads)``. Round 1 starts from zero loads, so its denominator
     is exactly 1 and its capacity is ``peak``. ``Topology`` keeps the
     coupling finite, and the peak of every allocation ``validate_allocation``
     accepts, so every denominator is at least 1 and no capacity is a NaN:
     the entries served (traffic and a positive peak) are fixed for the whole
-    solve, and the others keep their round-1 value. A served capacity that underflows to 0, or whose
-    denominator overflows, gives ``offered / 0 = inf`` and so the load 1
-    the map gives a non-positive capacity: the same bits as the map
-    applied round by round.
+    solve, and the others keep their round-1 value. A served capacity that
+    underflows to 0, or whose denominator overflows, gives ``offered / 0 =
+    inf`` and so the load 1 the map gives a non-positive capacity: the same
+    bits as the map applied round by round.
+
+    Every operation is elementwise within a step, except the neighbour sum,
+    which is one matrix-vector product per step (``np.matmul`` of the
+    adjacency with a (T, K, 1) stack, the kernel ``np.dot`` runs on one
+    step); a step that has converged leaves the stack being iterated.
     """
+    k, n = offered.shape[-2:]
+    steps = offered.size // (k * n)
     if max_iter < 1:
-        return np.zeros_like(offered, dtype=float), False, max_iter
+        return (np.zeros_like(offered, dtype=float), np.full(steps, max_iter),
+                np.zeros(steps, dtype=bool))
     peak = _peak_capacity(topology, allocation)
     pos = offered > 0
     served = pos & (peak > 0)
@@ -325,32 +387,55 @@ def solve_coupled_loads(topology: Topology, allocation: np.ndarray, offered: np.
     loads = pos.astype(float)
     np.divide(offered, peak, loads, where=served)
     np.minimum(loads, 1.0, out=loads)
+    result = loads.reshape(steps, k, n)  # a view: writing a step writes loads
+    rounds = np.ones(steps, dtype=np.int64)
+    converged = np.ones(steps, dtype=bool)
     # the change from zero loads is the loads themselves
-    delta = np.maximum.reduce(loads, None, None, None, False, 0.0)
-    if delta <= tol:
-        return loads, True, 1
+    live = np.nonzero(np.maximum.reduce(result, (1, 2), None, None, False, 0.0) > tol)[0]
+    if not live.size:
+        return loads, rounds, converged
     adjacency = _adjacency(topology)
     coupling = topology.coupling
-    k = offered.shape[0]
-    nxt, cap, diff = loads.copy(), np.empty_like(loads), np.empty_like(loads)
-    total, denom = np.empty(k), np.empty(k)
-    column = denom[:, None]
+    peak, offered, served = (peak.reshape(steps, k, n), offered.reshape(steps, k, n),
+                             served.reshape(steps, k, n))
+    if live.size < steps:  # the steps that converged in round 1 leave the stack
+        cur = result[live]
+        peak, offered, served = peak[live], offered[live], served[live]
+    else:
+        cur = result.copy()
+    nxt, cap, diff = cur.copy(), np.empty_like(cur), np.empty_like(cur)
+    total, denom = np.empty((len(live), k)), np.empty((len(live), k, 1))
+    column = total[..., None]
     with np.errstate(divide="ignore"):  # offered / 0 where a capacity fell to 0
         for it in range(2, max_iter + 1):
-            np.add.reduce(loads, 1, None, total)
-            np.dot(adjacency, total, denom)
+            np.add.reduce(cur, 2, None, total)
+            np.matmul(adjacency, column, denom)
             np.multiply(denom, coupling, denom)
             np.add(denom, 1.0, denom)
-            np.divide(peak, column, cap)
+            np.divide(peak, denom, cap)
             np.divide(offered, cap, nxt, where=served)
             np.minimum(nxt, 1.0, out=nxt)
             # every operation of the map is monotone in floating point too, so
             # the iterates never fall and the change is its own absolute value
-            delta = np.maximum.reduce(np.subtract(nxt, loads, diff), None, None, None, False, 0.0)
-            loads, nxt = nxt, loads
-            if delta <= tol:
-                return loads, True, it
-    return loads, False, max_iter
+            delta = np.maximum.reduce(np.subtract(nxt, cur, diff), (1, 2), None, None, False,
+                                      0.0)
+            cur, nxt = nxt, cur
+            if min(delta) <= tol:  # a few steps: cheaper than a reduce call
+                done = delta <= tol
+                finished = live[done]
+                result[finished] = cur[done]
+                rounds[finished] = it
+                if len(finished) == len(live):
+                    return loads, rounds, converged
+                go = ~done
+                live, cur, nxt, cap, diff, peak, offered, served, total, denom = (
+                    x[go] for x in (live, cur, nxt, cap, diff, peak, offered, served, total,
+                                    denom))
+                column = total[..., None]
+    result[live] = cur
+    rounds[live] = max_iter
+    converged[live] = False
+    return loads, rounds, converged
 
 
 # the delay curve: an idle or unloaded slice's delay (s), and the load at
@@ -360,11 +445,13 @@ LOAD_CAP = 0.99
 
 
 def compute_kpis(topology: Topology, allocation: np.ndarray, offered: np.ndarray,
-                 loads: np.ndarray, users: np.ndarray, t: int, fp_converged: bool = True,
-                 mask: tuple[float, ...] = ()) -> NetState:
+                 loads: np.ndarray, users: np.ndarray, t, fp_converged=True,
+                 mask=()) -> NetState:
     """Derive the observable KPIs from a solved load pattern.
 
-    ``users`` holds the (K, N) active-user counts. The state holds
+    ``users`` holds the (K, N) active-user counts; with a leading step axis
+    on the arrays (and ``t``, ``fp_converged`` and ``mask`` given per step)
+    the result is a stack of states. The state holds
     ``loads`` and ``users`` themselves, not copies. Served traffic is
     min(offered, capacity); per-user throughput divides by the active-user
     count; delay follows an M/M/1-style congestion curve
@@ -420,55 +507,108 @@ class SliceEnv:
     """Seeded, single-owner environment instance.
 
     One instance per run; two instances with the same scenario and seed and
-    the same allocation sequence produce identical KPI traces.
+    the same allocation sequence produce identical KPI traces, whether they
+    step one allocation at a time or draw blocks of steps ahead and step
+    each block as a stack.
     """
 
     def __init__(self, scenario: Scenario, seed):
         self.scenario = scenario
         self._demand = np.asarray(scenario.slices.demand_per_user)
+        self._group = np.asarray(scenario.group_size_max)
+        n, width = scenario.slice_count, max(scenario.group_size_max)
+        self._rank = np.arange(width)  # each user's rank within its slice
+        self._slot = np.arange(n)[:, None]  # each user's slice
         self._rng = np.random.default_rng(seed)
         self._positions: np.ndarray | None = None
+        self._drawn = None  # (users, masks, times) of steps drawn and not yet stepped
         self.t = 0
 
     def _mask_values(self, t: int) -> tuple[float, ...]:
         return tuple(m.value(t) for m in self.scenario.masks)
 
-    def _count_users(self, mask: tuple[float, ...]) -> np.ndarray:
-        """(K, N) counts per cell of each slice's first
-        floor(group_size_max * mask + 0.5) users."""
-        sc = self.scenario
-        users = np.zeros((sc.cell_count, sc.slice_count), dtype=int)
-        for n, (g, v) in enumerate(zip(sc.group_size_max, mask)):
-            active = self._positions[n, : int(np.floor(g * v + 0.5))]
-            users[:, n] = np.bincount(active, minlength=sc.cell_count)
-        return users
+    def _count_users(self, positions: np.ndarray, masks) -> np.ndarray:
+        """(T, K, N) counts per cell of each slice's first
+        floor(group_size_max * mask + 0.5) users, from (T, N, users)
+        positions and (T, N) mask values, in one ``bincount``."""
+        steps, n, _ = positions.shape
+        k = self.scenario.cell_count
+        active = self._rank < np.floor(self._group * np.asarray(masks) + 0.5)[..., None]
+        # one bin per (step, cell, slice), in that order
+        bins = np.arange(0, steps * k * n, k * n)[:, None, None] + positions * n + self._slot
+        return np.bincount(bins[active], minlength=steps * k * n).reshape(steps, k, n)
 
     def reset(self) -> NetState:
         """Place users uniformly at random and return the idle initial state."""
         sc = self.scenario
         self.t = 0
+        self._drawn = None
         self._positions = self._rng.integers(
             0, sc.cell_count, size=(sc.slice_count, max(sc.group_size_max)))
         mask = self._mask_values(0)
-        shape = (sc.cell_count, sc.slice_count)
+        users = self._count_users(self._positions[None], [mask])[0]
+        shape = users.shape
         return NetState(throughput=np.zeros(shape), delay=np.full(shape, DELAY_BASE_S),
-                        load=np.zeros(shape), users=self._count_users(mask), t=0, mask=mask)
+                        load=np.zeros(shape), users=users, t=0, mask=mask)
+
+    def draw(self, steps: int) -> np.ndarray:
+        """Draw the traffic of the next ``steps`` steps ahead and return the
+        (steps, K, N) user counts of the states they will make.
+
+        The walk, the mask values and the user counts never depend on the
+        allocations, so the next ``step`` then takes a stack of ``steps``
+        allocations and draws nothing; the random stream is the one that
+        many single steps draw.
+        """
+        if self._positions is None:
+            raise RuntimeError("call reset() before draw()")
+        if self._drawn is not None:
+            raise RuntimeError("step the drawn steps before drawing more")
+        sc = self.scenario
+        times = range(self.t + 1, self.t + steps + 1)
+        walk = walk_users(self._rng, sc.topology, self._positions, sc.p_stay, steps)
+        masks = [self._mask_values(t) for t in times]
+        users = self._count_users(walk, masks)
+        self._positions = walk[-1]
+        self.t = times[-1]
+        self._drawn = users, masks, np.array(times)
+        return users
 
     def step(self, allocation: np.ndarray) -> NetState:
-        """Advance one step under ``allocation`` and return the new KPIs.
+        """Advance under ``allocation`` and return the new KPIs.
 
-        The allocation must satisfy the per-cell simplex invariant (headroom
-        in column 0); it is validated, never mutated.
+        A (K, N+1) allocation advances one step. A (T, K, N+1) stack steps
+        the T steps ``draw(T)`` drew and returns them as one stack of
+        states. Allocations must satisfy the per-cell simplex invariant
+        (headroom in column 0); they are validated, never mutated. A stack
+        is refused whole at its first off-simplex step, which the error
+        names (steps count from 0, as the rows of ``steps.csv`` do), and its
+        drawn steps are dropped.
         """
         if self._positions is None:
             raise RuntimeError("call reset() before step()")
         sc = self.scenario
-        alloc = validate_allocation(allocation, sc.cell_count, sc.slice_count)
-        self.t += 1
-        self._positions = walk_users(self._rng, sc.topology, self._positions, sc.p_stay)
-        mask = self._mask_values(self.t)
-        users = self._count_users(mask)
+        stacked = np.ndim(allocation) == 3
+        drawn, self._drawn = self._drawn, None
+        if stacked and (drawn is None or len(drawn[0]) != len(allocation)):
+            raise RuntimeError("a stack of allocations needs as many steps drawn by draw()")
+        if not stacked and drawn is not None:
+            raise RuntimeError("step the drawn steps as a stack")
+        alloc = validate_allocation(allocation, sc.cell_count, sc.slice_count,
+                                    step=drawn[2][0] - 1 if stacked else self.t)
+        if stacked:
+            users, masks, times = drawn
+            mask = np.array(masks)
+        else:
+            self.draw(1)
+            (users,), (mask,), _ = self._drawn
+            self._drawn, times = None, self.t
         offered = users * self._demand
         loads, converged, _ = solve_coupled_loads(sc.topology, alloc, offered)
-        return compute_kpis(sc.topology, alloc, offered, loads, users, self.t,
+        if stacked:
+            # the solve reports a stack's convergence as a whole; a stack with
+            # a step short of it is solved again for each step's flag
+            converged = (np.ones(len(times), dtype=bool) if converged
+                         else _solve_steps(sc.topology, alloc, offered)[2])
+        return compute_kpis(sc.topology, alloc, offered, loads, users, times,
                             fp_converged=converged, mask=mask)

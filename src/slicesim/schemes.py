@@ -17,6 +17,12 @@ scheme-appropriate rewards; ``train``, which only the learning controllers
 (``trains``) have, advances the learners and returns the agent's
 ``TrainDiagnostics``.
 
+The two heuristics are ``open_loop``: their allocation reads only the user
+counts of the state they act on, and the environment's traffic never depends
+on the allocations. So their ``act`` also takes the ``(..., K, N)`` user
+counts of a stack of states and gives ``(..., K, N+1)`` arrays, and the
+runner steps them a block of steps at a time.
+
 The four learning kinds share one body, ``_LearningController``, whose
 ``act`` passes the run phase to the agent as its action mode. ``build_scheme``
 chooses what differs: the agent's shape and member count, its observation
@@ -49,6 +55,7 @@ class Controller:
     """Common bookkeeping for every scheme."""
 
     trains = False
+    open_loop = False  # True where act reads only user counts: a block acts at once
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
@@ -80,8 +87,16 @@ def static_allocation_row(allocation_row, slice_count: int,
     return row
 
 
+def _users(net) -> np.ndarray:
+    """The user counts an open-loop controller acts on: a state's, or the
+    ``(..., K, N)`` counts themselves."""
+    return net.users if isinstance(net, NetState) else np.asarray(net)
+
+
 class StaticController(Controller):
     """Fixed allocation, identical in every cell, never learns."""
+
+    open_loop = True
 
     def __init__(self, scenario, allocation_row):
         super().__init__(scenario)
@@ -89,7 +104,8 @@ class StaticController(Controller):
         self._alloc = np.tile(row, (scenario.cell_count, 1))
 
     def act(self, net, phase, step):
-        return self._alloc.copy(), self._alloc.copy()
+        alloc = np.broadcast_to(self._alloc, _users(net).shape[:-2] + self._alloc.shape)
+        return alloc.copy(), alloc.copy()
 
 
 class BaselineController(Controller):
@@ -99,19 +115,22 @@ class BaselineController(Controller):
     equally across slices.
     """
 
+    open_loop = True
+
     def act(self, net, phase, step):
-        alloc = baseline_allocation(net.users)
+        alloc = baseline_allocation(_users(net))
         return alloc.copy(), alloc
 
 
 def baseline_allocation(users: np.ndarray) -> np.ndarray:
+    """``(..., K, N+1)`` allocations proportional to ``(..., K, N)`` user counts."""
     u = np.asarray(users, dtype=float)
-    k, n = u.shape
-    alloc = np.zeros((k, n + 1))
-    totals = u.sum(axis=1)
+    n = u.shape[-1]
+    alloc = np.zeros(u.shape[:-1] + (n + 1,))
+    totals = u.sum(axis=-1)
     idle = totals == 0
     safe = np.where(idle, 1.0, totals)
-    alloc[:, 1:] = u / safe[:, None]
+    alloc[..., 1:] = u / safe[..., None]
     alloc[idle, 1:] = 1.0 / n
     return alloc
 

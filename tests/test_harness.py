@@ -525,6 +525,9 @@ def test_run_single_checkpoint_loads_into_a_fresh_controller(tmp_path):
 
 
 class _ActFailsAt(BaselineController):
+    # acts one step at a time, through the per-step driver
+    open_loop = False
+
     def __init__(self, scenario, fail_step):
         super().__init__(scenario)
         self.fail_step = fail_step
@@ -558,6 +561,9 @@ def test_failed_run_leaves_no_steps_csv_or_summary(tmp_path, monkeypatch):
 
 
 class _ActsOffSimplex(BaselineController):
+    # acts one step at a time, through the per-step driver
+    open_loop = False
+
     def act(self, net, phase, step):
         proposals, alloc = super().act(net, phase, step)
         alloc[0, 1] += 1e-6
@@ -619,6 +625,20 @@ def test_run_evaluates_each_mask_once_per_state(tmp_path, monkeypatch):
     run_single(cfg, "baseline", 0, tmp_path)
     # the reset state and one state per step, once for each slice's mask
     assert len(calls) == cfg.scenario.slice_count * (cfg.phases.total + 1)
+
+
+def test_summary_paths_read_from_another_directory(tmp_path, monkeypatch):
+    cfg = parse_config(tiny_config_data(phases=(40, 40, 20), kind="dist"))
+    monkeypatch.chdir(tmp_path)
+    summary = run_single(cfg, "dist", 0, "runs/dist")
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    written = json.loads((tmp_path / "runs" / "dist" / "summary.json").read_text())
+    csv = (tmp_path / "runs" / "dist" / "steps.csv").read_bytes()
+    for paths in (summary, written):
+        assert Path(paths["steps_csv"]).read_bytes() == csv
+        with np.load(paths["checkpoint"]) as data:
+            assert data.files
 
 
 def test_static_scheme_writes_no_checkpoint(tmp_path):

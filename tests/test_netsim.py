@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from slicesim.netsim import (
+    SIMPLEX_ATOL,
     ConfigError,
     ConstraintViolationError,
     Scenario,
@@ -426,6 +427,29 @@ def test_validate_allocation_rejects_wrong_shape():
 def test_validate_allocation_tolerance_boundary():
     a = np.array([[0.2, 0.5, 0.3 + 9e-10]])
     validate_allocation(a, 1, 2)  # within 1e-9, accepted
+
+
+def _over_one(excess):
+    """One cell's allocation with an entry of 1 + ``excess`` * atol, its
+    sum kept at 1 by two entries just inside the lower tolerance."""
+    return np.array([[-0.5 * excess * SIMPLEX_ATOL, 1 + excess * SIMPLEX_ATOL,
+                      -0.5 * excess * SIMPLEX_ATOL]])
+
+
+def test_validate_allocation_upper_tolerance_boundary():
+    validate_allocation(_over_one(0.5), 1, 2)
+    with pytest.raises(ConstraintViolationError, match=r"outside \[0, 1\]"):
+        validate_allocation(_over_one(1.5), 1, 2)
+
+
+def test_validate_allocation_upper_tolerance_boundary_in_a_stack():
+    ok = np.array([[[0.2, 0.5, 0.3]]] * 4)
+    stack = ok.copy()
+    stack[2] = _over_one(0.5)
+    validate_allocation(stack, 1, 2, step=10)
+    stack[3] = _over_one(1.5)
+    with pytest.raises(ConstraintViolationError, match=r"^step 13: .*outside \[0, 1\]"):
+        validate_allocation(stack, 1, 2, step=10)
 
 
 # ---------------------------------------------------------------------------

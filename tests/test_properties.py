@@ -3,7 +3,9 @@ evaluation, the environment's user counts and monotonicity of the
 coupled-load fixed point; and exactness
 tests of the whole-array environment step, the load solve, the mask
 lookup, observations, messages and rewards against the code they
-replaced, kept here as literal references. ``Mlp.input_grad`` must give
+replaced, kept here as literal references; stacks of steps (the walk,
+the load solve, the KPIs, validation, rewards and efficiencies) against
+the same steps one at a time. ``Mlp.input_grad`` must give
 the bits of ``Mlp.backward``'s input gradient, and the runner's block
 CSV writer the bytes of the per-row ``repr``/``str`` join. Last, configs
 with one or two leaves replaced by a degenerate value (NaN, an infinity,
@@ -31,6 +33,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from slicesim.harness.config import parse_config
+from slicesim.harness.metrics import resource_efficiency
 from slicesim.harness.runner import (_BLOCK_CELLS, _block_layout, _write_block, csv_header,
                                       run_single)
 from slicesim.mdp import (
@@ -39,13 +42,16 @@ from slicesim.mdp import (
     extract_message,
     global_state,
     local_state,
+    penalty_gaps,
     project_or_reject,
     reward_global,
     reward_local,
+    reward_penalized,
 )
 from slicesim.netsim import (
     SIMPLEX_ATOL,
     ConfigError,
+    ConstraintViolationError,
     TOPOLOGY_BUILDERS,
     NetState,
     Scenario,
@@ -53,7 +59,10 @@ from slicesim.netsim import (
     SliceSpec,
     Topology,
     TrafficMask,
+    _solve_steps,
+    compute_kpis,
     solve_coupled_loads,
+    validate_allocation,
     walk_users,
 )
 from slicesim.nn import HEADS, Mlp, MlpSpec
@@ -465,6 +474,138 @@ def test_messages_match_the_per_cell_mean(observed):
     want = np.stack([reference_extract_message(net, topo, k) for k in range(topo.cell_count)])
     assert got.shape == want.shape == (topo.cell_count, net.slice_count)
     assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# stacks of steps against the same steps one at a time
+# ---------------------------------------------------------------------------
+
+@PROPERTY
+@given(topologies, st.integers(1, 3), st.integers(1, 40), st.integers(1, 6),
+       st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), st.integers(0, 2 ** 32),
+       st.data())
+def test_walk_of_several_steps_matches_as_many_single_steps(topo, slices, users, steps, p_stay,
+                                                            seed, data):
+    positions = data.draw(hnp.arrays(np.int64, (slices, users),
+                                     elements=st.integers(0, topo.cell_count - 1)))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = walk_users(rng, topo, positions, p_stay, steps)
+    want, pos = [], positions
+    for _ in range(steps):
+        pos = walk_users(ref_rng, topo, pos, p_stay)
+        want.append(pos)
+    assert got.shape == (steps, slices, users) and got.dtype == positions.dtype
+    assert np.array_equal(got, np.stack(want))
+    assert rng.random() == ref_rng.random()  # both consumed the same draws
+
+
+@st.composite
+def stacked_problems(draw):
+    """A topology and T steps' allocations, offered traffic and user counts
+    on it; up to 9 slices and 30 cells reach numpy's pairwise sums."""
+    topo = draw(wide_topologies)
+    k, slices, steps = topo.cell_count, draw(st.integers(1, 9)), draw(st.integers(1, 6))
+    raw = draw(hnp.arrays(float, (steps, k, slices + 1), elements=st.floats(0.01, 1.0)))
+    alloc = raw / raw.sum(axis=-1, keepdims=True)
+    peak = topo.bandwidth_hz * topo.se_max / (slices + 1) * 2
+    traffic = draw(hnp.arrays(float, (steps, k, slices), elements=st.floats(0.0, peak)))
+    offered = np.where(draw(hnp.arrays(bool, (steps, k, slices))), 0.0, traffic)
+    users = draw(hnp.arrays(np.int64, (steps, k, slices), elements=st.integers(0, 3)))
+    return topo, alloc, offered, users
+
+
+@settings(PROPERTY, max_examples=200)
+# two steps of which the first converges in round 3 and the second never
+# within 3 rounds, so the stack has both kinds
+@example((Topology.ring(3, 20e6, 0.3, 2.0), np.full((2, 3, 3), 1 / 3),
+          np.array([np.full((3, 2), 1e5), np.full((3, 2), 4e6)]), np.ones((2, 3, 2), int)),
+         1e-6, 3)
+@given(stacked_problems(), st.sampled_from([1e-6, 1e-12, 0.0, 1.0]),
+       st.sampled_from([0, 1, 2, 3, 5, 1000]))
+def test_stacked_solve_and_kpis_match_each_step_alone(problem, tol, max_iter):
+    topo, alloc, offered, users = problem
+    steps = len(alloc)
+    with np.errstate(all="ignore"):  # couplings up to 1e308 overflow alike
+        loads, converged, iterations = solve_coupled_loads(topo, alloc, offered, tol, max_iter)
+        _, rounds, flags = _solve_steps(topo, alloc, offered, tol, max_iter)
+        alone = [solve_coupled_loads(topo, a, o, tol, max_iter) for a, o in zip(alloc, offered)]
+        net = compute_kpis(topo, alloc, offered, loads, users, np.arange(1, steps + 1),
+                           flags, np.zeros((steps, 1)))
+        nets = [compute_kpis(topo, a, o, one[0], u, i + 1)
+                for i, (a, o, u, one) in enumerate(zip(alloc, offered, users, alone))]
+    assert loads.tobytes() == np.stack([one[0] for one in alone]).tobytes()
+    # the stack converged when every step did, in as many rounds as theirs
+    assert flags.tolist() == [one[1] for one in alone]
+    assert rounds.tolist() == [one[2] for one in alone]
+    assert converged == all(flags) and iterations == sum(rounds)
+    assert (net.cell_count, net.slice_count) == (topo.cell_count, alloc.shape[-1] - 1)
+    for name in ("throughput", "delay"):
+        assert getattr(net, name).tobytes() == np.stack([getattr(one, name)
+                                                         for one in nets]).tobytes()
+
+
+def _single_problem(allocation, cells, slices):
+    """The error ``validate_allocation`` gives one allocation, or None."""
+    try:
+        validate_allocation(allocation, cells, slices)
+    except ConstraintViolationError as e:
+        return str(e)
+    return None
+
+
+@PROPERTY
+@given(st.integers(1, 5), st.integers(1, 3), st.integers(1, 6), st.integers(0, 10 ** 4),
+       st.data())
+def test_stacked_validation_refuses_the_first_step_refused_alone(cells, slices, steps, first,
+                                                                 data):
+    raw = data.draw(hnp.arrays(float, (steps, cells, slices + 1), elements=st.floats(0.01, 1.0)))
+    alloc = raw / raw.sum(axis=-1, keepdims=True)
+    # spoil entries of some steps: off the range or the sum, by a little or
+    # a lot, or not a number
+    for _ in range(data.draw(st.integers(0, 3))):
+        i, k, j = (data.draw(st.integers(0, d - 1)) for d in alloc.shape)
+        alloc[i, k, j] += data.draw(st.sampled_from(
+            [0.5 * SIMPLEX_ATOL, 2 * SIMPLEX_ATOL, -1.0, 0.5, np.nan, np.inf]))
+    problems = [_single_problem(a, cells, slices) for a in alloc]
+    bad = [i for i, p in enumerate(problems) if p]
+    if not bad:
+        assert validate_allocation(alloc, cells, slices, step=first) is not None
+        return
+    with pytest.raises(ConstraintViolationError) as refused:
+        validate_allocation(alloc, cells, slices, step=first)
+    assert str(refused.value) == f"step {first + bad[0]}: {problems[bad[0]]}"
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.integers(1, 25), st.integers(1, 3),
+       st.sampled_from(["plain", "delay_aware"]), st.data())
+def test_stacked_rewards_and_efficiency_match_each_step_alone(steps, cells, slices, variant,
+                                                              data):
+    shape = (steps, cells, slices)
+    net = NetState(throughput=data.draw(hnp.arrays(float, shape, elements=st.floats(0.0, 12e6))),
+                   delay=data.draw(hnp.arrays(float, shape, elements=st.floats(1e-5, 5e-3))),
+                   load=np.zeros(shape),
+                   users=data.draw(hnp.arrays(np.int64, shape, elements=st.integers(0, 2))),
+                   t=np.arange(steps))
+    spec = RewardSpec(variant, (5e6,) * slices, (1e-3,) * slices, beta=1.2)
+    raw = data.draw(hnp.arrays(float, (steps, cells, slices + 1), elements=st.floats(0.0, 1.0)))
+    alloc = raw / np.where(raw.sum(axis=-1, keepdims=True) > 0, raw.sum(axis=-1, keepdims=True), 1)
+    proposals = data.draw(hnp.arrays(float, alloc.shape, elements=st.floats(-1.0, 2.0)))
+    topo = Topology.ring(cells, 20e6, 0.3, 2.0)
+
+    rewards = reward_global(net, spec)
+    gaps = np.add.reduce(penalty_gaps(proposals), -1) / cells
+    penalized = reward_penalized(rewards, gaps, spec.beta)
+    efficiency = resource_efficiency(net, alloc, topo)
+    for i in range(steps):
+        one = NetState(throughput=net.throughput[i], delay=net.delay[i], load=net.load[i],
+                       users=net.users[i], t=i)
+        assert reward_local(net, spec)[i].tobytes() == reward_local(one, spec).tobytes()
+        reward = reward_global(one, spec)
+        gap = float(np.add.reduce(penalty_gaps(proposals[i])) / cells)
+        assert (rewards[i], gaps[i], penalized[i]) == (
+            reward, gap, reward_penalized(reward, gap, spec.beta))
+        assert efficiency[i].tobytes() == resource_efficiency(one, alloc[i], topo).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -294,3 +294,11 @@ def test_epsilon_schedule():
     assert eps(50) == pytest.approx(0.525)
     assert eps(100) == pytest.approx(0.05)
     assert eps(500) == pytest.approx(0.05)
+
+
+@pytest.mark.parametrize("horizon", [0, 1])
+def test_epsilon_over_a_horizon_of_at_most_one_step_ends_at_step_one(horizon):
+    # a horizon of 0 anneals as one of 1: the start at step 0, the end from step 1
+    assert annealed_epsilon(0, 1.0, 0.25, horizon) == 1.0
+    assert annealed_epsilon(1, 1.0, 0.25, horizon) == 0.25
+    assert annealed_epsilon(2, 1.0, 0.25, horizon) == 0.25
