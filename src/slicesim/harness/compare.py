@@ -22,8 +22,8 @@ TABLE_METRICS = (
 def load_summary(path) -> dict:
     """Read a summary.json; a run directory is accepted as shorthand.
 
-    ``steps_csv`` is the run's path relative to where it ran, so the loaded
-    summary names the ``steps.csv`` beside the file instead."""
+    The loaded summary names the ``steps.csv`` beside the file, not the
+    absolute path the run wrote, so a run directory can be moved."""
     p = Path(path)
     if p.is_dir():
         p = p / "summary.json"

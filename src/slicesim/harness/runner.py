@@ -5,28 +5,25 @@ scheme-independent schema. Floats are serialized with ``repr`` so re-parsing
 gives back the exact same doubles; identical config and seed therefore
 produce byte-identical CSVs.
 
-A run goes a block of ``4096 // columns`` steps at a time, by one of two
-drivers:
+One loop, ``_run``, drives every controller. Each pass draws the traffic of
+its steps (``SliceEnv.draw``), acts, steps the environment on the stack of
+allocations, records and trains a learner, and hands the stack of states to
+the record. An open-loop controller (the heuristics, ``Controller.open_loop``)
+reads only user counts, and the environment's traffic never depends on the
+allocations, so a pass covers a whole block of ``4096 // columns`` steps: the
+controller acts once on the stacked user counts of the states it acts on. Any
+other controller acts on the state itself, and its passes are single steps.
 
-* An open-loop controller (the heuristics, ``Controller.open_loop``) acts on
-  user counts alone, and the environment's traffic never depends on the
-  allocations. So each block's traffic is drawn ahead (``SliceEnv.draw``),
-  the controller acts once on the stacked user counts of the states it acts
-  on, and one ``SliceEnv.step`` validates, solves and scores the block as a
-  stack.
-* Every other controller runs act, step, record and train one step at a
-  time, and its block's states are stacked when the block is full.
-
-Either way one routine, ``_Record.settle``, turns the block's stacked
-states into its rows and its entries of the summary arrays: rewards,
-penalties and efficiencies are computed as (T,) and (T, K) arrays, with
-the bits each step's values have when computed alone. ``_write_block`` then
-formats the block's tables with each distinct value formatted once and
-writes them with one call. The last, partial block is written when the run
-ends; when the per-step driver raises, it still writes every completed
-step's row before the error propagates. The block driver settles nothing of
-a block that raises: an allocation off the per-cell simplex refuses its
-whole block, and the error names the step.
+The record holds the passes' stacks until a block is full. One routine,
+``_Record.settle``, then turns the block's stacked states into its rows and
+its entries of the summary arrays: rewards, penalties and efficiencies are
+computed as (T,) and (T, K) arrays, with the bits each step's values have
+when computed alone. ``_write_block`` formats the block's tables with each
+distinct value formatted once and writes them with one call. The last,
+partial block is written when the run ends, and also when a pass raises, so
+every completed step's row is written before the error propagates. A stack
+that raises writes nothing of itself: an allocation off the per-cell simplex
+refuses its whole stack, and the error names the step.
 
 The step's mean penalty gap feeds both the ``penalty`` column and the
 penalized reward, and one ``resource_efficiency`` call gives every cell's
@@ -138,14 +135,35 @@ class _Record:
         self.layout = float_cols, int_cols = _block_layout(self.k, n)
         self.floats = np.empty((self.block_rows, len(float_cols)))
         self.ints = np.empty((self.block_rows, len(int_cols)), dtype=np.int64)
+        self.held: list[tuple] = []  # the hold calls of the block being filled
         fh.write(",".join(header) + "\n")
 
+    def hold(self, first: int, nets: NetState, proposals: np.ndarray, alloc: np.ndarray,
+             critic, actor) -> None:
+        """Hold the stack of states of the steps from ``first``, with their
+        proposals and allocations and the stack's critic loss and actor
+        objective, and settle the block once it is full."""
+        self.held.append((first, nets, proposals, alloc, critic, actor))
+        if first + len(alloc) - self.held[0][0] >= self.block_rows:
+            self.flush()
+
+    def flush(self) -> None:
+        """Settle the held stacks as one. Each hold brings one critic loss and
+        actor objective, so a block is one stack or single steps."""
+        if self.held:
+            firsts, nets, proposals, alloc, critic, actor = zip(*self.held)
+            self.held.clear()
+            nets = NetState(*map(np.concatenate, zip(*(vars(s).values() for s in nets))))
+            self.settle(firsts[0], nets, np.concatenate(proposals), np.concatenate(alloc),
+                        critic, actor)
+
     def settle(self, first: int, nets: NetState, proposals: np.ndarray, alloc: np.ndarray,
-               critic=np.nan, actor=np.nan) -> None:
+               critic, actor) -> None:
         """Write the rows of the block of steps from ``first``, a stack of
         T states with its (T, K, N+1) proposals and allocations and the
-        (T,) mean critic loss and actor objective (NaN where none trained),
-        and fill the block's entries of the summary arrays."""
+        mean critic loss and actor objective, (T,) or one for all steps (NaN
+        where none trained), and fill the block's entries of the summary
+        arrays."""
         count, k = len(alloc), self.k
         steps = slice(first, first + count)
         # a mean over cells is np.add.reduce over them divided by k, as
@@ -173,64 +191,36 @@ class _Record:
         _write_block(self.fh, self.floats, self.ints, self.phases[steps], self.layout)
 
 
-def _run_blocks(env: SliceEnv, controller, plan, state: NetState, record: _Record) -> None:
-    """Step an open-loop controller a block at a time: draw the block's
-    traffic, act once on the stacked users of the states it acts on, step
-    the block as one stack and settle it."""
-    users = state.users
-    for first in range(0, plan.total, record.block_rows):
-        drawn = env.draw(min(record.block_rows, plan.total - first))
-        # each step acts on the state before it: the last block's final
-        # state, then the block's own states but its last
-        acted = np.concatenate([users[None], drawn[:-1]])
-        proposals, alloc = controller.act(acted, plan.phase_of(first), first)
-        record.settle(first, env.step(alloc), proposals, alloc)
-        users = drawn[-1]
-
-
-def _run_steps(env: SliceEnv, controller, plan, state: NetState, record: _Record) -> None:
-    """Act, step, record and train one step at a time, and settle each
-    block of completed steps as a stack; the steps completed before an
-    error are settled before it propagates."""
-    held: list[tuple] = []  # (step, state, proposals, allocation, critic, actor) per step
-
-    def settle():
-        if held:
-            steps, nets, proposals, alloc, critic, actor = zip(*held)
-            record.settle(steps[0], _stack(nets), np.stack(proposals), np.stack(alloc),
-                          critic, actor)
-            held.clear()
-
+def _run(env: SliceEnv, controller, plan, state: NetState, record: _Record) -> None:
+    """Run the plan from ``state``: a block of steps a pass for an open-loop
+    controller and one step a pass for any other. The held steps are
+    settled when the loop ends, also when it raises."""
+    count = record.block_rows if controller.open_loop else 1
     try:
-        for step in range(plan.total):
-            phase = plan.phase_of(step)
-            proposals, alloc = controller.act(state, phase, step)
+        for first in range(0, plan.total, count):
+            phase = plan.phase_of(first)
+            drawn = env.draw(min(count, plan.total - first))
+            # each step acts on the state before it; an open-loop controller
+            # on the user counts of the last pass's final state, then of the
+            # pass's own states but its last
+            acted = (np.concatenate([state.users[-1:], drawn[:-1]]) if controller.open_loop
+                     else state)
+            proposals, alloc = controller.act(acted, phase, first)
             nxt = env.step(alloc)
-            if phase != "eval":
-                controller.record(state, proposals, nxt)
-            diag = controller.train(step) if phase == "train" and controller.trains else None
-            # mean over agents; with one agent this is its own value, exactly
-            if diag:
-                agents = diag.critic_loss.size
-                critic = float(np.add.reduce(diag.critic_loss) / agents)
-                actor = float(np.add.reduce(diag.actor_objective) / agents)
-            else:
-                critic = actor = float("nan")
-            held.append((step, nxt, proposals, alloc, critic, actor))
-            if len(held) == record.block_rows:
-                settle()
+            critic = actor = np.nan
+            if controller.trains:
+                if phase != "eval":
+                    controller.record(state, proposals, nxt)
+                # mean over agents; with one agent this is its own value, exactly
+                diag = controller.train(first) if phase == "train" else None
+                if diag:
+                    agents = diag.critic_loss.size
+                    critic = float(np.add.reduce(diag.critic_loss) / agents)
+                    actor = float(np.add.reduce(diag.actor_objective) / agents)
+            record.hold(first, nxt, proposals, alloc, critic, actor)
             state = nxt
     finally:
-        settle()
-
-
-def _stack(nets) -> NetState:
-    """One stack of states from a sequence of single states."""
-    return NetState(
-        throughput=np.stack([s.throughput for s in nets]), delay=np.stack([s.delay for s in nets]),
-        load=np.stack([s.load for s in nets]), users=np.stack([s.users for s in nets]),
-        t=np.array([s.t for s in nets]), fp_converged=np.array([s.fp_converged for s in nets]),
-        mask=np.array([s.mask for s in nets]))
+        record.flush()
 
 
 def run_single(cfg: ExperimentConfig, kind: str, seed: int, out_dir) -> dict:
@@ -256,8 +246,7 @@ def run_single(cfg: ExperimentConfig, kind: str, seed: int, out_dir) -> dict:
     partial_path = out / "steps.csv.partial"
     with open(partial_path, "w", newline="") as fh:
         record = _Record(cfg, fh)
-        drive = _run_blocks if controller.open_loop else _run_steps
-        drive(env, controller, plan, state, record)
+        _run(env, controller, plan, state, record)
     raw, pen_reward, penalty, eta_mean = (
         record.raw, record.pen_reward, record.penalty, record.eta_mean)
     served, users, delay_w, share, mask = (

@@ -62,20 +62,21 @@ class RewardSpec:
 
 def local_state(net: NetState, scaling: StateScaling) -> np.ndarray:
     """(K, 3N) observations, one row per cell: [throughput ratios, loads,
-    user fractions]."""
+    user fractions]; (T, K, 3N) for a stack of T states."""
     phi = np.minimum(net.throughput / np.asarray(scaling.throughput_req), 1.0)
     users = net.users / np.asarray(scaling.group_size_max, dtype=float)
-    return np.concatenate([phi, net.load, users], axis=1)
+    return np.concatenate([phi, net.load, users], axis=-1)
 
 
 def global_state(net: NetState, scaling: StateScaling) -> np.ndarray:
-    """All local observations concatenated in cell order."""
+    """All local observations concatenated in cell order (and in step order
+    for a stack)."""
     return local_state(net, scaling).ravel()
 
 
 def extract_message(net: NetState, topology: Topology) -> np.ndarray:
     """(K, N) coordination messages: each cell's per-slice mean of its
-    neighbours' loads.
+    neighbours' loads; (T, K, N) for a stack of T states.
 
     The sum masks out the neighbour table's padding, so each cell adds its
     own neighbours' rows in the order a sum over those rows alone would.
@@ -83,7 +84,7 @@ def extract_message(net: NetState, topology: Topology) -> np.ndarray:
     """
     table, degree = neighbor_table(topology)
     real = np.arange(table.shape[1]) < degree[:, None]
-    total = np.add.reduce(net.load[table], axis=1, where=real[:, :, None])
+    total = np.add.reduce(net.load[..., table, :], axis=-2, where=real[:, :, None])
     return total / np.maximum(degree, 1)[:, None]
 
 
@@ -110,8 +111,7 @@ def reward_local(net: NetState, spec: RewardSpec) -> np.ndarray:
 def reward_global(net: NetState, spec: RewardSpec):
     """Network-wide score: the worst cell's score; a (T,) array for a stack
     of T states."""
-    worst = reward_local(net, spec).min(axis=-1)
-    return float(worst) if worst.ndim == 0 else worst
+    return reward_local(net, spec).min(axis=-1)
 
 
 def penalty_gaps(proposal: np.ndarray) -> np.ndarray:
@@ -125,8 +125,7 @@ def reward_penalized(raw_reward, mean_gap, beta: float):
     """Raw reward minus beta times ``mean_gap``, the mean of the budget gaps
     that :func:`penalty_gaps` gives for a proposal; (T,) arrays of both give
     the (T,) rewards of a stack of steps."""
-    reward = raw_reward - beta * mean_gap
-    return float(reward) if np.ndim(reward) == 0 else reward
+    return raw_reward - beta * mean_gap
 
 
 # ---------------------------------------------------------------------------

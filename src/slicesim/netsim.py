@@ -5,11 +5,11 @@ users perform a Markov walk over cells, per-slice traffic is scaled by a
 periodic mask, and the per-slice loads are the fixed point of a coupling map
 in which a cell's effective capacity shrinks with its neighbours' total load.
 
-The traffic never depends on the allocations, so the environment can draw a
-block of steps' traffic ahead (``SliceEnv.draw``) and then step all of them
-under a stack of allocations at once. Validation, the load solve and the
-KPIs take an optional leading step axis: (T, K, N) arrays for T steps, each
-step computed with the bits it has when stepped alone.
+The environment steps a (T, K, N+1) stack of allocations into a stack of T
+states. The traffic never depends on the allocations, so the environment can
+draw a block of steps' traffic ahead (``SliceEnv.draw``). Validation, the
+load solve and the KPIs take an optional leading step axis: (T, K, N) arrays
+for T steps, each step computed with the bits it has when stepped alone.
 """
 
 from __future__ import annotations
@@ -198,9 +198,9 @@ class NetState:
     holds each slice's traffic-mask value at ``t``, evaluated once by the
     environment that made the state.
 
-    A stack of T states, as ``SliceEnv.step`` returns for a stack of
-    allocations, has a leading step axis: (T, K, N) arrays, ``t`` and
-    ``fp_converged`` as (T,) arrays and ``mask`` as a (T, N) array.
+    ``SliceEnv`` returns stacks of T states, with a leading step axis:
+    (T, K, N) arrays, ``t`` and ``fp_converged`` as (T,) arrays and ``mask``
+    as a (T, N) array. The readers of states also take one state without it.
     """
 
     throughput: np.ndarray  # ([T,] K, N)
@@ -507,9 +507,8 @@ class SliceEnv:
     """Seeded, single-owner environment instance.
 
     One instance per run; two instances with the same scenario and seed and
-    the same allocation sequence produce identical KPI traces, whether they
-    step one allocation at a time or draw blocks of steps ahead and step
-    each block as a stack.
+    the same allocation sequence produce identical KPI traces, however the
+    steps are cut into stacks and whether or not they are drawn ahead.
     """
 
     def __init__(self, scenario: Scenario, seed):
@@ -524,32 +523,35 @@ class SliceEnv:
         self._drawn = None  # (users, masks, times) of steps drawn and not yet stepped
         self.t = 0
 
-    def _mask_values(self, t: int) -> tuple[float, ...]:
-        return tuple(m.value(t) for m in self.scenario.masks)
+    def _mask_values(self, times) -> np.ndarray:
+        """(T, N) mask values at each of ``times``."""
+        return np.array([[m.value(t) for m in self.scenario.masks] for t in times])
 
-    def _count_users(self, positions: np.ndarray, masks) -> np.ndarray:
+    def _count_users(self, positions: np.ndarray, masks: np.ndarray) -> np.ndarray:
         """(T, K, N) counts per cell of each slice's first
         floor(group_size_max * mask + 0.5) users, from (T, N, users)
         positions and (T, N) mask values, in one ``bincount``."""
         steps, n, _ = positions.shape
         k = self.scenario.cell_count
-        active = self._rank < np.floor(self._group * np.asarray(masks) + 0.5)[..., None]
+        active = self._rank < np.floor(self._group * masks + 0.5)[..., None]
         # one bin per (step, cell, slice), in that order
         bins = np.arange(0, steps * k * n, k * n)[:, None, None] + positions * n + self._slot
         return np.bincount(bins[active], minlength=steps * k * n).reshape(steps, k, n)
 
     def reset(self) -> NetState:
-        """Place users uniformly at random and return the idle initial state."""
+        """Place users uniformly at random and return the idle initial state,
+        a stack of one."""
         sc = self.scenario
         self.t = 0
         self._drawn = None
         self._positions = self._rng.integers(
             0, sc.cell_count, size=(sc.slice_count, max(sc.group_size_max)))
-        mask = self._mask_values(0)
-        users = self._count_users(self._positions[None], [mask])[0]
+        mask = self._mask_values([0])
+        users = self._count_users(self._positions[None], mask)
         shape = users.shape
         return NetState(throughput=np.zeros(shape), delay=np.full(shape, DELAY_BASE_S),
-                        load=np.zeros(shape), users=users, t=0, mask=mask)
+                        load=np.zeros(shape), users=users, t=np.zeros(1, dtype=np.int64),
+                        fp_converged=np.ones(1, dtype=bool), mask=mask)
 
     def draw(self, steps: int) -> np.ndarray:
         """Draw the traffic of the next ``steps`` steps ahead and return the
@@ -565,50 +567,47 @@ class SliceEnv:
         if self._drawn is not None:
             raise RuntimeError("step the drawn steps before drawing more")
         sc = self.scenario
-        times = range(self.t + 1, self.t + steps + 1)
+        times = np.arange(self.t + 1, self.t + steps + 1)
         walk = walk_users(self._rng, sc.topology, self._positions, sc.p_stay, steps)
-        masks = [self._mask_values(t) for t in times]
+        masks = self._mask_values(times.tolist())
         users = self._count_users(walk, masks)
         self._positions = walk[-1]
-        self.t = times[-1]
-        self._drawn = users, masks, np.array(times)
+        self.t += steps
+        self._drawn = users, masks, times
         return users
 
     def step(self, allocation: np.ndarray) -> NetState:
-        """Advance under ``allocation`` and return the new KPIs.
+        """Advance under a (T, K, N+1) stack of allocations and return the
+        stack of the T new states.
 
-        A (K, N+1) allocation advances one step. A (T, K, N+1) stack steps
-        the T steps ``draw(T)`` drew and returns them as one stack of
-        states. Allocations must satisfy the per-cell simplex invariant
-        (headroom in column 0); they are validated, never mutated. A stack
-        is refused whole at its first off-simplex step, which the error
-        names (steps count from 0, as the rows of ``steps.csv`` do), and its
-        drawn steps are dropped.
+        The stack steps the T steps ``draw(T)`` drew; with none drawn, the
+        step draws them itself. Allocations must satisfy the per-cell simplex
+        invariant (headroom in column 0); they are validated, never mutated.
+        A stack is refused whole at its first off-simplex step, which the
+        error names (steps count from 0, as the rows of ``steps.csv`` do);
+        its drawn steps are dropped, and steps not drawn are not drawn.
         """
         if self._positions is None:
             raise RuntimeError("call reset() before step()")
         sc = self.scenario
-        stacked = np.ndim(allocation) == 3
+        k, n = sc.cell_count, sc.slice_count
+        if np.ndim(allocation) != 3:
+            raise ConstraintViolationError(
+                f"allocation shape {np.shape(allocation)} is not a (T, {k}, {n + 1}) stack")
         drawn, self._drawn = self._drawn, None
-        if stacked and (drawn is None or len(drawn[0]) != len(allocation)):
-            raise RuntimeError("a stack of allocations needs as many steps drawn by draw()")
-        if not stacked and drawn is not None:
-            raise RuntimeError("step the drawn steps as a stack")
-        alloc = validate_allocation(allocation, sc.cell_count, sc.slice_count,
-                                    step=drawn[2][0] - 1 if stacked else self.t)
-        if stacked:
-            users, masks, times = drawn
-            mask = np.array(masks)
-        else:
-            self.draw(1)
-            (users,), (mask,), _ = self._drawn
-            self._drawn, times = None, self.t
+        if drawn is not None and len(drawn[0]) != len(allocation):
+            raise RuntimeError("a stack of allocations needs as many steps as draw() drew")
+        alloc = validate_allocation(allocation, k, n,
+                                    step=self.t if drawn is None else drawn[2][0] - 1)
+        if drawn is None:
+            self.draw(len(alloc))
+            drawn, self._drawn = self._drawn, None
+        users, mask, times = drawn
         offered = users * self._demand
         loads, converged, _ = solve_coupled_loads(sc.topology, alloc, offered)
-        if stacked:
-            # the solve reports a stack's convergence as a whole; a stack with
-            # a step short of it is solved again for each step's flag
-            converged = (np.ones(len(times), dtype=bool) if converged
-                         else _solve_steps(sc.topology, alloc, offered)[2])
+        # the solve reports a stack's convergence as a whole; a stack with a
+        # step short of it is solved again for each step's flag
+        converged = (np.ones(len(times), dtype=bool) if converged
+                     else _solve_steps(sc.topology, alloc, offered)[2])
         return compute_kpis(sc.topology, alloc, offered, loads, users, times,
                             fp_converged=converged, mask=mask)

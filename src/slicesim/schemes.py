@@ -11,16 +11,16 @@ Six kinds:
 * ``baseline``  - no learning; split proportional to active users, no headroom.
 * ``static_default`` - no learning; a fixed allocation everywhere.
 
-A controller's step contract: ``act`` maps the current network state to
-(raw proposals, executable allocation); ``record`` stores the transition with
-scheme-appropriate rewards; ``train``, which only the learning controllers
-(``trains``) have, advances the learners and returns the agent's
-``TrainDiagnostics``.
+A controller's step contract: ``act`` maps a stack of states to (raw
+proposals, executable allocation), arrays shaped like its user counts plus
+one column; ``record`` stores the transition with scheme-appropriate
+rewards; ``train``, which only the learning controllers (``trains``) have,
+advances the learners and returns the agent's ``TrainDiagnostics``.
 
-The two heuristics are ``open_loop``: their allocation reads only the user
-counts of the state they act on, and the environment's traffic never depends
-on the allocations. So their ``act`` also takes the ``(..., K, N)`` user
-counts of a stack of states and gives ``(..., K, N+1)`` arrays, and the
+A learner reacts to every state, so the runner hands it stacks of one. The
+two heuristics are ``open_loop``: their allocation reads only user counts,
+and the environment's traffic never depends on the allocations. So their
+``act`` takes the ``(T, K, N)`` user counts of a stack of states, and the
 runner steps them a block of steps at a time.
 
 The four learning kinds share one body, ``_LearningController``, whose
@@ -60,7 +60,9 @@ class Controller:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
 
-    def act(self, net: NetState, phase: str, step: int) -> tuple[np.ndarray, np.ndarray]:
+    def act(self, net, phase: str, step: int) -> tuple[np.ndarray, np.ndarray]:
+        """(proposals, allocation) for a stack of states; an open-loop
+        controller gets the stack's user counts instead."""
         raise NotImplementedError
 
     def record(self, prev: NetState, proposals: np.ndarray, net: NetState) -> None:
@@ -87,12 +89,6 @@ def static_allocation_row(allocation_row, slice_count: int,
     return row
 
 
-def _users(net) -> np.ndarray:
-    """The user counts an open-loop controller acts on: a state's, or the
-    ``(..., K, N)`` counts themselves."""
-    return net.users if isinstance(net, NetState) else np.asarray(net)
-
-
 class StaticController(Controller):
     """Fixed allocation, identical in every cell, never learns."""
 
@@ -103,8 +99,8 @@ class StaticController(Controller):
         row = static_allocation_row(allocation_row, scenario.slice_count)
         self._alloc = np.tile(row, (scenario.cell_count, 1))
 
-    def act(self, net, phase, step):
-        alloc = np.broadcast_to(self._alloc, _users(net).shape[:-2] + self._alloc.shape)
+    def act(self, users, phase, step):
+        alloc = np.broadcast_to(self._alloc, users.shape[:-2] + self._alloc.shape)
         return alloc.copy(), alloc.copy()
 
 
@@ -117,8 +113,8 @@ class BaselineController(Controller):
 
     open_loop = True
 
-    def act(self, net, phase, step):
-        alloc = baseline_allocation(_users(net))
+    def act(self, users, phase, step):
+        alloc = baseline_allocation(users)
         return alloc.copy(), alloc
 
 
@@ -144,7 +140,7 @@ def annealed_epsilon(step: int, start: float, end: float, horizon: int) -> float
 class _LearningController(Controller):
     """The TD3 schemes' one body: a (possibly stacked) agent, an observation
     function giving its ``(A, state_dim)`` states, a reward function of
-    ``(net, proposals)`` giving its ``(A,)`` rewards, the horizon of its
+    ``(net, proposals)`` giving its ``A`` rewards, the horizon of its
     epsilon anneal, and a one-entry memo of the last observed state matrix,
     so each network state is observed once although act and record both
     need it.
@@ -172,13 +168,14 @@ class _LearningController(Controller):
             h = self.agent.hyper
             epsilon = annealed_epsilon(step, h.epsilon_start, h.epsilon_end, self.anneal_steps)
         prop, act = self.agent.select_action(self._observe(net), phase, epsilon)
-        shape = (self.scenario.cell_count, self.scenario.slice_count + 1)
+        shape = net.users.shape[:-1] + (self.scenario.slice_count + 1,)
         return prop.reshape(shape), act.reshape(shape)
 
     def record(self, prev, proposals, net):
+        members = self.agent.members
         self.agent.buffer.add(Experience(
-            state=self._observe(prev), proposal=proposals.reshape(self.agent.members, -1),
-            reward=self._reward(net, proposals), next_state=self._observe(net)))
+            state=self._observe(prev), proposal=proposals.reshape(members, -1),
+            reward=self._reward(net, proposals).reshape(members), next_state=self._observe(net)))
 
     def train(self, step):
         return self.agent.train_step(step)
@@ -232,14 +229,13 @@ def build_scheme(kind: str, scenario: Scenario, rewards: RewardSpec,
 
         if kind == "cen_pen":
             def reward(net, proposals):
-                raw = reward_global(net, rewards)
                 # the mean gap over cells, as np.mean computes it
-                gaps = penalty_gaps(proposals)
-                return np.array([reward_penalized(raw, np.add.reduce(gaps) / gaps.size,
-                                                  rewards.beta)])
+                return reward_penalized(reward_global(net, rewards),
+                                        np.add.reduce(penalty_gaps(proposals), -1) / k,
+                                        rewards.beta)
         else:
             def reward(net, proposals):
-                return np.array([reward_global(net, rewards)])
+                return reward_global(net, rewards)
 
         return CentralController(scenario, Td3Agent(cfg, hyper, [rng]), observe, reward,
                                  anneal_steps)
@@ -251,11 +247,12 @@ def build_scheme(kind: str, scenario: Scenario, rewards: RewardSpec,
             # each agent also sees the per-slice mean load of its neighbours,
             # from the same network state it acts on
             def observe(net):
-                return np.concatenate(
-                    [local_state(net, scaling), extract_message(net, scenario.topology)], axis=1)
+                return np.concatenate([local_state(net, scaling),
+                                       extract_message(net, scenario.topology)],
+                                      axis=-1).reshape(k, -1)
         else:
             def observe(net):
-                return local_state(net, scaling)
+                return local_state(net, scaling).reshape(k, -1)
 
         def reward(net, proposals):
             return reward_local(net, rewards)

@@ -1,10 +1,10 @@
-"""The runner's block driver against its per-step driver, and how a block fails.
+"""The runner's block passes against its single-step passes, and how a block fails.
 
 The two heuristics are open-loop: the runner draws each block's traffic
 ahead, acts once on the block's stacked user counts and steps the block as
 one stack. A test-only subclass of each that is not open-loop runs the same
-scheme through the per-step driver, the reference: both must write the same
-``steps.csv`` bytes and the same summary.
+scheme one step a pass, acting on each state, the reference: both must write
+the same ``steps.csv`` bytes and the same summary.
 """
 
 import json
@@ -27,9 +27,15 @@ UNSTABLE_SUMMARY_KEYS = ("runtime_s", "steps_csv", "checkpoint")
 class _PerStepBaseline(BaselineController):
     open_loop = False
 
+    def act(self, net, phase, step):
+        return super().act(net.users, phase, step)
+
 
 class _PerStepStatic(StaticController):
     open_loop = False
+
+    def act(self, net, phase, step):
+        return super().act(net.users, phase, step)
 
 
 def _build_per_step(*args, **kwargs):
@@ -113,6 +119,12 @@ def test_open_loop_schemes_step_the_environment_once_a_block(tmp_path, monkeypat
         run_single(cfg, kind, 0, tmp_path / kind)
         rows = block_rows(25, 2)
         assert calls == [(rows, 25, 3)] * (70 // rows) + [(70 % rows, 25, 3)]
+    # a learner reacts to every state: each of its stacks is one step
+    cfg = parse_config(config_data("ring", 3, 2, (4, 6, 3)))
+    for kind in ("cen_pen", "cen_soft", "dist", "dist_comm"):
+        calls.clear()
+        run_single(cfg, kind, 0, tmp_path / kind)
+        assert calls == [(1, 3, 3)] * 13
 
 
 def test_steps_short_of_convergence_are_flagged_as_the_per_step_driver_flags_them(

@@ -411,6 +411,9 @@ def test_steps_to_fraction_of_final_ramp():
     assert steps_to_fraction_of_final(np.arange(100.0), fraction=0.9, window=10) == 90
     flat = np.full(50, 2.0)
     assert steps_to_fraction_of_final(flat, window=10) == 0
+    # a final smoothed value of exactly 0 after a negative start is reached
+    # where the smoothed series first climbs to 0, not immediately
+    assert steps_to_fraction_of_final(np.array([-1.0, -1.0, 1.0, -1.0]), window=2) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +528,7 @@ def test_run_single_checkpoint_loads_into_a_fresh_controller(tmp_path):
 
 
 class _ActFailsAt(BaselineController):
-    # acts one step at a time, through the per-step driver
+    # not open-loop, so the runner steps it one step a pass
     open_loop = False
 
     def __init__(self, scenario, fail_step):
@@ -535,7 +538,7 @@ class _ActFailsAt(BaselineController):
     def act(self, net, phase, step):
         if step == self.fail_step:
             raise RuntimeError(f"act failed at step {step}")
-        return super().act(net, phase, step)
+        return super().act(net.users, phase, step)
 
 
 def test_failed_run_leaves_no_steps_csv_or_summary(tmp_path, monkeypatch):
@@ -561,12 +564,12 @@ def test_failed_run_leaves_no_steps_csv_or_summary(tmp_path, monkeypatch):
 
 
 class _ActsOffSimplex(BaselineController):
-    # acts one step at a time, through the per-step driver
+    # not open-loop, so the runner steps it one step a pass
     open_loop = False
 
     def act(self, net, phase, step):
-        proposals, alloc = super().act(net, phase, step)
-        alloc[0, 1] += 1e-6
+        proposals, alloc = super().act(net.users, phase, step)
+        alloc[..., 0, 1] += 1e-6
         return proposals, alloc
 
 

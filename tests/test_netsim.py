@@ -137,7 +137,7 @@ def reset_users(groups, mask_values):
     constant mask value)."""
     masks = tuple(TrafficMask(((0.0, v),), period=100.0) for v in mask_values)
     sc = make_scenario(one_cell(), lam_ue=(3e6,) * len(groups), groups=groups, masks=masks)
-    return SliceEnv(sc, 0).reset().users
+    return SliceEnv(sc, 0).reset().users[0]
 
 
 def test_active_user_target_rounding():
@@ -194,12 +194,12 @@ def test_offered_traffic_values():
                            masks=masks)
         env = SliceEnv(sc, 0)
         env.reset()
-        st = env.step(np.array([[0.0, 0.5, 0.5]]))
-        assert st.users.tolist() == [[0, users]]
-        served = st.throughput * st.users
+        st = env.step(np.array([[[0.0, 0.5, 0.5]]]))
+        assert st.users.tolist() == [[[0, users]]]
+        served = st.throughput[0] * st.users[0]
         assert served[0, 0] == 0.0
         assert served[0, 1] == pytest.approx(users * 3e6)
-        assert st.load[0, 1] == pytest.approx(users * 3e6 / 100e6)
+        assert st.load[0, 0, 1] == pytest.approx(users * 3e6 / 100e6)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +471,7 @@ def test_env_determinism():
     def run(seed):
         env = SliceEnv(sc, seed)
         env.reset()
-        return [env.step(a) for a in seq]
+        return [env.step(a[None]) for a in seq]
 
     sa, sb = run(123), run(123)
     for x, y in zip(sa, sb):
@@ -487,7 +487,7 @@ def test_env_zero_mask_yields_zero_throughput():
     env = SliceEnv(sc, 0)
     env.reset()
     for _ in range(5):
-        st = env.step(np.array([[0.5, 0.5]]))
+        st = env.step(np.array([[[0.5, 0.5]]]))
         assert st.users.sum() == 0
         assert np.all(st.throughput == 0.0)
 
@@ -499,8 +499,8 @@ def test_env_mask_evaluated_after_time_advances():
     env = SliceEnv(sc, 2)
     st0 = env.reset()
     assert st0.users.sum() == 0  # mask value 0 at t=0
-    st1 = env.step(np.array([[0.5, 0.5]]))
-    assert st1.t == 1
+    st1 = env.step(np.array([[[0.5, 0.5]]]))
+    assert st1.t.tolist() == [1]
     assert st1.users.sum() == 6  # mask value 1 at t=1
 
 
@@ -511,10 +511,10 @@ def test_env_state_carries_the_mask_values_of_its_time():
     sc = make_scenario(topo, lam_ue=(3e6, 2e6), groups=(12, 12), masks=masks)
     env = SliceEnv(sc, 4)
     states = [env.reset()]
-    alloc = np.full((6, 3), 1.0 / 3.0)
+    alloc = np.full((1, 6, 3), 1.0 / 3.0)
     states += [env.step(alloc) for _ in range(30)]
     for st in states:
-        assert st.mask == tuple(m.value(st.t) for m in masks)
+        assert st.mask.tolist() == [[m.value(t) for m in masks] for t in st.t.tolist()]
 
 
 def test_env_monotone_allocation_sweep():
@@ -526,8 +526,8 @@ def test_env_monotone_allocation_sweep():
     for share in np.arange(0.1, 0.95, 0.1):
         env = SliceEnv(sc, 7)
         env.reset()
-        st = env.step(np.array([[1.0 - share, share]]))
-        served.append(float(st.throughput[0, 0] * st.users[0, 0]))
+        st = env.step(np.array([[[1.0 - share, share]]]))
+        served.append(float(st.throughput[0, 0, 0] * st.users[0, 0, 0]))
     for lo, hi in zip(served, served[1:]):
         assert hi >= lo - 1e-6
     assert served[1] > served[0]
@@ -540,7 +540,7 @@ def test_env_rejects_off_simplex_action():
     env = SliceEnv(sc, 0)
     env.reset()
     with pytest.raises(ConstraintViolationError):
-        env.step(np.array([[0.3, 0.3]]))
+        env.step(np.array([[[0.3, 0.3]]]))
 
 
 def test_env_does_not_mutate_allocation():
@@ -548,7 +548,7 @@ def test_env_does_not_mutate_allocation():
     sc = make_scenario(topo)
     env = SliceEnv(sc, 0)
     env.reset()
-    a = np.array([[0.25, 0.75]])
+    a = np.array([[[0.25, 0.75]]])
     keep = a.copy()
     env.step(a)
     assert np.array_equal(a, keep)
@@ -557,4 +557,41 @@ def test_env_does_not_mutate_allocation():
 def test_env_requires_reset():
     env = SliceEnv(make_scenario(one_cell()), 0)
     with pytest.raises(RuntimeError):
-        env.step(np.array([[0.5, 0.5]]))
+        env.step(np.array([[[0.5, 0.5]]]))
+
+
+def _states_bytes(st):
+    return [np.asarray(getattr(st, f)).tobytes() for f in (
+        "throughput", "delay", "load", "users", "t", "fp_converged", "mask")]
+
+
+def test_env_step_refuses_a_single_allocation_and_names_the_stack_shape():
+    sc = make_scenario(Topology.grid(6, B20, 0.2, 2.0), lam_ue=(3e6, 2e6), groups=(12, 12))
+    env, fresh = SliceEnv(sc, 5), SliceEnv(sc, 5)
+    env.reset()
+    fresh.reset()
+    alloc = np.full((6, 3), 1.0 / 3.0)
+    with pytest.raises(ConstraintViolationError, match=r"\(6, 3\) is not a \(T, 6, 3\) stack"):
+        env.step(alloc)
+    # the refused allocation drew nothing: the next step is a fresh run's first
+    assert env.t == 0
+    assert _states_bytes(env.step(alloc[None])) == _states_bytes(fresh.step(alloc[None]))
+
+
+def test_env_steps_undrawn_stacks_as_it_steps_drawn_ones():
+    topo = Topology.grid(6, B20, 0.2, 2.0)
+    masks = (TrafficMask(((0.0, 0.2), (7.0, 1.0)), period=13.0),
+             TrafficMask(((2.0, 1.0), (9.0, 0.0)), period=11.0))
+    sc = make_scenario(topo, lam_ue=(3e6, 2e6), groups=(12, 12), masks=masks, p_stay=0.5)
+    rng = np.random.default_rng(8)
+    undrawn, drawn = SliceEnv(sc, 9), SliceEnv(sc, 9)
+    assert _states_bytes(undrawn.reset()) == _states_bytes(drawn.reset())
+    for count in (1, 3, 7, 1, 12):
+        raw = rng.random((count, 6, 3))
+        alloc = raw / raw.sum(axis=-1, keepdims=True)
+        users = drawn.draw(count)
+        want = drawn.step(alloc)
+        got = undrawn.step(alloc)
+        assert got.users.tobytes() == users.tobytes()
+        assert _states_bytes(got) == _states_bytes(want)
+    assert undrawn.t == drawn.t == 24

@@ -158,13 +158,13 @@ def test_user_counts_follow_the_rounded_mask(topo, slices, p_stay, steps, seed, 
                                            min_size=slices, max_size=slices)))
     spec = SliceSpec((5e6,) * slices, (1e-3,) * slices, (3e6,) * slices)
     env = SliceEnv(Scenario(topo, spec, slice_masks, groups, p_stay=p_stay), seed)
-    alloc = np.full((k, slices + 1), 1.0 / (slices + 1))
+    alloc = np.full((1, k, slices + 1), 1.0 / (slices + 1))
     states = [env.reset()] + [env.step(alloc) for _ in range(steps)]
     for net in states:
-        want = [math.floor(g * m.value(net.t) + 0.5) for g, m in zip(groups, slice_masks)]
-        assert net.users.shape == (k, slices)
+        want = [math.floor(g * m.value(int(net.t[0])) + 0.5) for g, m in zip(groups, slice_masks)]
+        assert net.users.shape == (1, k, slices)
         assert (net.users >= 0).all()
-        assert net.users.sum(axis=0).tolist() == want
+        assert net.users.sum(axis=1).tolist() == [want]
 
 
 # ---------------------------------------------------------------------------

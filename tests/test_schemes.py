@@ -102,7 +102,7 @@ def test_unknown_kind_rejected():
 
 def test_static_default_allocation():
     ctl, sc, *_ = controller("static_default")
-    _, alloc = ctl.act(make_net(sc), "eval", 0)
+    _, alloc = ctl.act(make_net(sc).users, "eval", 0)
     assert alloc.shape == (3, 3)
     for row in alloc:
         assert row == pytest.approx([0.0, 0.8, 0.2])
@@ -129,7 +129,7 @@ def test_static_and_baseline_do_not_learn():
     for kind in ("static_default", "baseline"):
         ctl, sc, *_ = controller(kind)
         net = make_net(sc)
-        _, alloc = ctl.act(net, "train", 5)
+        _, alloc = ctl.act(net.users, "train", 5)
         ctl.record(net, alloc, net)  # accepted and ignored
         assert not ctl.trains and not hasattr(ctl, "train")
         assert ctl.param_count() == 0
@@ -147,7 +147,8 @@ def test_every_scheme_emits_valid_allocations(kind):
     rng = np.random.default_rng(7)
     for phase in ("explore", "train", "eval"):
         for step in range(4):
-            _, alloc = ctl.act(make_net(sc, rng), phase, step)
+            net = make_net(sc, rng)
+            _, alloc = ctl.act(net.users if ctl.open_loop else net, phase, step)
             validate_allocation(alloc, sc.cell_count, sc.slice_count)
 
 
