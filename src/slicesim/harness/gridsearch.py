@@ -48,6 +48,7 @@ def _static_env(scenario: Scenario) -> SliceEnv:
 
 def _step_reward(env: SliceEnv, rewards: RewardSpec, allocation) -> float:
     alloc = np.asarray(allocation, dtype=float).reshape(1, 1, env.scenario.slice_count + 1)
+    env.draw(1)
     return float(reward_global(env.step(alloc), rewards)[0])
 
 

@@ -69,9 +69,10 @@ def local_state(net: NetState, scaling: StateScaling) -> np.ndarray:
 
 
 def global_state(net: NetState, scaling: StateScaling) -> np.ndarray:
-    """All local observations concatenated in cell order (and in step order
-    for a stack)."""
-    return local_state(net, scaling).ravel()
+    """(3KN,) local observations concatenated in cell order; (T, 3KN) for a
+    stack of T states."""
+    local = local_state(net, scaling)
+    return local.reshape(local.shape[:-2] + (-1,))
 
 
 def extract_message(net: NetState, topology: Topology) -> np.ndarray:
@@ -133,18 +134,19 @@ def reward_penalized(raw_reward, mean_gap, beta: float):
 # ---------------------------------------------------------------------------
 
 
-def project_or_reject(proposal: np.ndarray, atol: float = SIMPLEX_ATOL) -> np.ndarray:
+def project_or_reject(proposal: np.ndarray) -> np.ndarray:
     """Turn a raw proposal into an executable on-simplex action.
 
-    Proposals already satisfying the simplex constraint pass through
-    unchanged. Otherwise negatives are clipped to zero and the row is
-    renormalized; an all-zero row falls back to the uniform split.
-    Non-finite proposals are rejected outright.
+    Proposals already satisfying the simplex constraint (no negative entry,
+    a sum within ``SIMPLEX_ATOL`` of 1) pass through unchanged. Otherwise
+    negatives are clipped to zero and the row is renormalized; an all-zero
+    row falls back to the uniform split. Non-finite proposals are rejected
+    outright.
     """
     a = np.asarray(proposal, dtype=float)
     if not np.isfinite(a).all():
         raise ConstraintViolationError("action proposal contains non-finite entries")
-    ok = (a >= 0.0).all(axis=-1) & (np.abs(a.sum(axis=-1) - 1.0) <= atol)
+    ok = (a >= 0.0).all(axis=-1) & (np.abs(a.sum(axis=-1) - 1.0) <= SIMPLEX_ATOL)
     if np.all(ok):
         return a.copy()
     clipped = np.clip(a, 0.0, None)

@@ -6,10 +6,12 @@ periodic mask, and the per-slice loads are the fixed point of a coupling map
 in which a cell's effective capacity shrinks with its neighbours' total load.
 
 The environment steps a (T, K, N+1) stack of allocations into a stack of T
-states. The traffic never depends on the allocations, so the environment can
-draw a block of steps' traffic ahead (``SliceEnv.draw``). Validation, the
-load solve and the KPIs take an optional leading step axis: (T, K, N) arrays
-for T steps, each step computed with the bits it has when stepped alone.
+states. The traffic never depends on the allocations, so the environment
+draws a block of steps' traffic first (``SliceEnv.draw``) and then steps
+that block. Validation, the walk and the environment take stacks only:
+(T, K, N) arrays for T steps, each step computed with the bits it has when
+stepped alone. The load solve and the KPIs also take one step without the
+step axis.
 """
 
 from __future__ import annotations
@@ -228,33 +230,33 @@ SIMPLEX_ATOL = 1e-9
 
 
 def validate_allocation(allocation: np.ndarray, cell_count: int, slice_count: int,
-                        atol: float = SIMPLEX_ATOL, step: int | None = None) -> np.ndarray:
-    """Check an action matrix, or a stack of them, against the per-cell
+                        step: int | None = None) -> np.ndarray:
+    """Check a (T, K, N+1) stack of action matrices against the per-cell
     simplex invariant.
 
-    Expects shape (K, N+1), or (T, K, N+1) for T steps, with column 0 the
-    headroom; every entry in [0, 1] and every row summing to 1 within
-    ``atol``. Returns the array unchanged. A stack is refused whole at its
-    first offending step. ``step`` numbers the (first) step, and the error
-    then names the offending one.
+    Column 0 is the headroom; every entry must lie in [0, 1] and every row
+    sum to 1 within ``SIMPLEX_ATOL``. Returns the array unchanged. A stack
+    is refused whole at its first offending step. ``step`` numbers the
+    first step, and the error then names the offending one.
     """
     a = np.asarray(allocation, dtype=float)
-    if a.ndim not in (2, 3) or a.shape[-2:] != (cell_count, slice_count + 1):
+    if a.ndim != 3 or a.shape[1:] != (cell_count, slice_count + 1):
         raise ConstraintViolationError(
-            f"allocation shape {a.shape} != ([T,] {cell_count}, {slice_count + 1})")
+            f"allocation shape {a.shape} is not a (T, {cell_count}, {slice_count + 1}) stack")
     # a NaN fails every comparison, and the sums are formed only of entries
     # in range, so only a valid stack passes
+    atol = SIMPLEX_ATOL
     if (np.minimum.reduce(a, None) >= -atol and np.maximum.reduce(a, None) <= 1 + atol
             and np.maximum.reduce(np.abs(np.add.reduce(a, -1) - 1.0), None) <= atol):
         return a
     # the whole-stack check failed, so some step has a problem: name the first
-    steps = a.reshape(-1, cell_count, slice_count + 1)
-    i, problem = next((i, p) for i, p in enumerate(_simplex_problem(s, atol) for s in steps) if p)
+    i, problem = next((i, p) for i, p in enumerate(map(_simplex_problem, a)) if p)
     raise ConstraintViolationError(("" if step is None else f"step {step + i}: ") + problem)
 
 
-def _simplex_problem(a: np.ndarray, atol: float) -> str:
+def _simplex_problem(a: np.ndarray) -> str:
     """What is wrong with one (K, N+1) allocation, or '' when it is valid."""
+    atol = SIMPLEX_ATOL
     if not np.isfinite(a).all():
         return "allocation contains non-finite entries"
     if (a < -atol).any() or (a > 1 + atol).any():
@@ -272,31 +274,29 @@ def _simplex_problem(a: np.ndarray, atol: float) -> str:
 
 
 def walk_users(rng: np.random.Generator, topology: Topology, positions: np.ndarray,
-               p_stay: float, steps: int | None = None) -> np.ndarray:
-    """Markov-walk steps for every (potential) user.
+               p_stay: float, steps: int) -> np.ndarray:
+    """``steps`` Markov-walk steps for every (potential) user.
 
     Each user stays in its cell with probability ``p_stay``, otherwise moves
     to a uniformly random neighbour. Users in a cell without neighbours stay.
     A step draws one uniform per user for the move and one for the
     neighbour, the latter unconditionally to keep the stream aligned.
 
-    Without ``steps`` this is one step, returned in ``positions``' shape.
-    With ``steps`` the walk advances that many steps from one
-    ``rng.random((steps, 2, users))`` draw, the same stream as that many
-    steps' pairs of draws, and returns the (steps, *positions.shape)
-    positions after each step.
+    The walk takes all its draws from one ``rng.random((steps, 2, users))``
+    call, the same stream as that many steps' pairs of draws, and returns
+    the (steps, *positions.shape) positions after each step.
     """
     table, degree = neighbor_table(topology)
     flat = positions.ravel()
-    draws = rng.random((1 if steps is None else steps, 2, flat.shape[0]))
+    draws = rng.random((steps, 2, flat.shape[0]))
     moves = draws[:, 0] >= p_stay
-    out = np.empty((len(draws), flat.shape[0]), dtype=positions.dtype)
-    for i in range(len(draws)):
+    out = np.empty((steps, flat.shape[0]), dtype=positions.dtype)
+    for i in range(steps):
         # truncation of the non-negative product picks neighbour floor(draw *
         # degree); a cell without neighbours has only itself in its row
         pick = (draws[i, 1] * degree[flat]).astype(np.int64)
         flat = out[i] = np.where(moves[i], table[flat, pick], flat)
-    return out.reshape(positions.shape if steps is None else (steps, *positions.shape))
+    return out.reshape((steps, *positions.shape))
 
 
 @lru_cache(maxsize=16)
@@ -508,7 +508,7 @@ class SliceEnv:
 
     One instance per run; two instances with the same scenario and seed and
     the same allocation sequence produce identical KPI traces, however the
-    steps are cut into stacks and whether or not they are drawn ahead.
+    steps are cut into blocks.
     """
 
     def __init__(self, scenario: Scenario, seed):
@@ -554,13 +554,13 @@ class SliceEnv:
                         fp_converged=np.ones(1, dtype=bool), mask=mask)
 
     def draw(self, steps: int) -> np.ndarray:
-        """Draw the traffic of the next ``steps`` steps ahead and return the
+        """Draw the traffic of the next ``steps`` steps and return the
         (steps, K, N) user counts of the states they will make.
 
         The walk, the mask values and the user counts never depend on the
-        allocations, so the next ``step`` then takes a stack of ``steps``
-        allocations and draws nothing; the random stream is the one that
-        many single steps draw.
+        allocations, so they are drawn before the allocations are known; the
+        next ``step`` then takes a stack of ``steps`` allocations. The random
+        stream is the one that many single steps draw.
         """
         if self._positions is None:
             raise RuntimeError("call reset() before draw()")
@@ -580,29 +580,22 @@ class SliceEnv:
         """Advance under a (T, K, N+1) stack of allocations and return the
         stack of the T new states.
 
-        The stack steps the T steps ``draw(T)`` drew; with none drawn, the
-        step draws them itself. Allocations must satisfy the per-cell simplex
-        invariant (headroom in column 0); they are validated, never mutated.
-        A stack is refused whole at its first off-simplex step, which the
-        error names (steps count from 0, as the rows of ``steps.csv`` do);
-        its drawn steps are dropped, and steps not drawn are not drawn.
+        The stack steps the T steps ``draw(T)`` drew; a step with nothing
+        drawn raises ``RuntimeError`` and leaves the environment as it was.
+        Allocations must satisfy the per-cell simplex invariant (headroom in
+        column 0); they are validated, never mutated. A stack is refused
+        whole at its first off-simplex step, which the error names (steps
+        count from 0, as the rows of ``steps.csv`` do), and its drawn steps
+        are dropped.
         """
-        if self._positions is None:
-            raise RuntimeError("call reset() before step()")
+        if self._drawn is None:
+            raise RuntimeError("call draw() before step()")
         sc = self.scenario
-        k, n = sc.cell_count, sc.slice_count
-        if np.ndim(allocation) != 3:
-            raise ConstraintViolationError(
-                f"allocation shape {np.shape(allocation)} is not a (T, {k}, {n + 1}) stack")
-        drawn, self._drawn = self._drawn, None
-        if drawn is not None and len(drawn[0]) != len(allocation):
+        (users, mask, times), self._drawn = self._drawn, None
+        alloc = validate_allocation(allocation, sc.cell_count, sc.slice_count,
+                                    step=times[0] - 1)
+        if len(alloc) != len(times):
             raise RuntimeError("a stack of allocations needs as many steps as draw() drew")
-        alloc = validate_allocation(allocation, k, n,
-                                    step=self.t if drawn is None else drawn[2][0] - 1)
-        if drawn is None:
-            self.draw(len(alloc))
-            drawn, self._drawn = self._drawn, None
-        users, mask, times = drawn
         offered = users * self._demand
         loads, converged, _ = solve_coupled_loads(sc.topology, alloc, offered)
         # the solve reports a stack's convergence as a whole; a stack with a

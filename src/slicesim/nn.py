@@ -5,9 +5,10 @@ one of three output heads: linear, elementwise sigmoid, or a softmax applied
 independently to contiguous blocks of the output (one block per cell, so each
 cell's slice shares land on a simplex by construction).
 
-Batch convention: inputs are (batch, d_in); backward returns parameter
-gradients summed over the batch, so mean-loss callers scale the output
-gradient by 1/batch themselves.
+Batch convention: inputs always carry a batch axis, ``(batch, d_in)`` (a
+batch of one for a single input); backward returns parameter gradients
+summed over the batch, so mean-loss callers scale the output gradient by
+1/batch themselves.
 
 Member axis: one ``Mlp`` can hold E same-shaped networks (members) stacked
 on a leading axis. Their parameters form one flat ``(E, P)`` array, and each
@@ -152,16 +153,13 @@ class Mlp:
 
     # -- forward ------------------------------------------------------------
 
-    def _as_batch(self, x) -> tuple[np.ndarray, bool]:
+    def _as_batch(self, x) -> np.ndarray:
         a = np.asarray(x, dtype=float)
         lead = self.flat.shape[:-1]
-        single = a.ndim == len(lead) + 1
-        if single:
-            a = a[..., None, :]
         if a.ndim != len(lead) + 2 or a.shape[:-2] != lead or a.shape[-1] != self.spec.d_in:
             raise ValueError(f"input shape {np.shape(x)} incompatible with d_in="
                              f"{self.spec.d_in} and member axes {lead}")
-        return a, single
+        return a
 
     def apply_head(self, z: np.ndarray) -> np.ndarray:
         if self.spec.head == "linear":
@@ -172,22 +170,21 @@ class Mlp:
 
     def logits(self, x) -> np.ndarray:
         """Pre-head output of the final layer."""
-        h, single = self._as_batch(x)
+        h = self._as_batch(x)
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self._bias_rows)):
             h = h @ w
             h += b
             if i < last:
                 np.maximum(h, 0.0, out=h)
-        return h[..., 0, :] if single else h
+        return h
 
     def forward(self, x) -> np.ndarray:
         z = self.logits(x)
         return self.apply_head(z)
 
     def forward_cached(self, x) -> tuple[np.ndarray, _Cache]:
-        h, single = self._as_batch(x)
-        acts, zs = [h], []
+        acts, zs = [self._as_batch(x)], []
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self._bias_rows)):
             z = acts[-1] @ w
@@ -196,11 +193,13 @@ class Mlp:
             if i < last:
                 acts.append(np.maximum(z, 0.0))
         y = self.apply_head(zs[-1])
-        return (y[..., 0, :] if single else y), _Cache(acts=acts, zs=zs, y=y)
+        return y, _Cache(acts=acts, zs=zs, y=y)
 
     # -- backward -----------------------------------------------------------
 
-    def _head_backward(self, gy: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def _head_grad(self, cache: _Cache, grad_out) -> np.ndarray:
+        """dL/dz of the final layer from dL/dy."""
+        gy, y = np.asarray(grad_out, dtype=float), cache.y
         if self.spec.head == "linear":
             return gy
         if self.spec.head == "sigmoid":
@@ -211,14 +210,6 @@ class Mlp:
         gz = yb * (gb - np.add.reduce(gb * yb, -1, keepdims=True))
         return gz.reshape(gy.shape)
 
-    def _head_grad(self, cache: _Cache, grad_out) -> tuple[np.ndarray, bool]:
-        """dL/dz of the final layer from dL/dy, as a batch."""
-        gy = np.asarray(grad_out, dtype=float)
-        single = gy.ndim == self.flat.ndim
-        if single:
-            gy = gy[..., None, :]
-        return self._head_backward(gy, cache.y), single
-
     def backward(self, cache: _Cache, grad_out,
                  out: "Mlp | None" = None) -> tuple[list[np.ndarray], np.ndarray]:
         """Gradients for a scalar loss given dL/dy (batch-summed).
@@ -228,7 +219,7 @@ class Mlp:
         ``out``, an ``Mlp`` of this spec (``Mlp.from_flat``) a caller keeps
         to reuse one buffer and its views, else a new array.
         """
-        g, single = self._head_grad(cache, grad_out)
+        g = self._head_grad(cache, grad_out)
         grad = Mlp.from_flat(self.spec, np.empty_like(self.flat)) if out is None else out
         acts, zs, weights_t = cache.acts, cache.zs, self._weights_t
         for i in range(len(weights_t) - 1, -1, -1):
@@ -237,18 +228,18 @@ class Mlp:
             g = g @ weights_t[i]
             if i > 0:
                 g *= zs[i - 1] > 0.0
-        return grad.parameters(), (g[..., 0, :] if single else g)
+        return grad.parameters(), g
 
     def input_grad(self, cache: _Cache, grad_out) -> np.ndarray:
         """dL/dx alone: ``backward``'s second output, the same bits, without
         computing any parameter gradient."""
-        g, single = self._head_grad(cache, grad_out)
+        g = self._head_grad(cache, grad_out)
         zs, weights_t = cache.zs, self._weights_t
         for i in range(len(weights_t) - 1, -1, -1):
             g = g @ weights_t[i]
             if i > 0:
                 g *= zs[i - 1] > 0.0
-        return g[..., 0, :] if single else g
+        return g
 
     # -- parameter plumbing ---------------------------------------------------
 

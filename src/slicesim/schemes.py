@@ -13,9 +13,10 @@ Six kinds:
 
 A controller's step contract: ``act`` maps a stack of states to (raw
 proposals, executable allocation), arrays shaped like its user counts plus
-one column; ``record`` stores the transition with scheme-appropriate
-rewards; ``train``, which only the learning controllers (``trains``) have,
-advances the learners and returns the agent's ``TrainDiagnostics``.
+one column. Only the learning controllers (``trains``) have ``record``,
+which stores the transition with scheme-appropriate rewards, and
+``train``, which advances the learners and returns the agent's
+``TrainDiagnostics``.
 
 A learner reacts to every state, so the runner hands it stacks of one. The
 two heuristics are ``open_loop``: their allocation reads only user counts,
@@ -64,9 +65,6 @@ class Controller:
         """(proposals, allocation) for a stack of states; an open-loop
         controller gets the stack's user counts instead."""
         raise NotImplementedError
-
-    def record(self, prev: NetState, proposals: np.ndarray, net: NetState) -> None:
-        pass
 
     def param_count(self) -> int:
         """Parameters of one deployed model (the per-site footprint)."""
@@ -225,7 +223,7 @@ def build_scheme(kind: str, scenario: Scenario, rewards: RewardSpec,
                         critic_hidden=hyper.central_critic_hidden, constraint_mode=mode)
 
         def observe(net):
-            return global_state(net, scaling)[None]
+            return global_state(net, scaling)
 
         if kind == "cen_pen":
             def reward(net, proposals):

@@ -271,7 +271,7 @@ class Td3Agent:
         if mode == "explore":
             proposals = np.stack([self._random_proposal(rng) for rng in self.rngs])
             return proposals, self._execute(proposals)
-        z = self.actor.logits(states)
+        z = self.actor.logits(states[:, None])[:, 0]  # each agent's batch of one
         drawn = np.zeros(self.members, dtype=bool)  # took a simplex draw, not the actor
         simplex = np.empty_like(z)
         if mode == "train":

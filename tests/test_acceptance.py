@@ -2,7 +2,7 @@
 
 This module runs the full experiment matrix (six schemes x five seeds on
 the three-cell config, plus five seeds on the single-cell config), so
-expect roughly twelve minutes on one core. Every check ends by printing
+expect roughly eight minutes on one core. Every check ends by printing
 one PASS/FAIL line; run ``pytest -s tests/test_acceptance.py`` to watch
 them appear as the suite progresses.
 """

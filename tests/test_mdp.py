@@ -73,6 +73,19 @@ def test_global_state_is_concatenation():
     assert np.array_equal(g, np.concatenate(list(local_state(net, SCALING))))
 
 
+def test_global_state_of_a_stack_is_each_steps_global_state():
+    rng = np.random.default_rng(1)
+    steps = 4
+    net = make_net(rng.random((steps, 3, 2)) * 5e6, rng.random((steps, 3, 2)) * 1e-3 + 5e-4,
+                   rng.random((steps, 3, 2)), rng.integers(0, 8, (steps, 3, 2)),
+                   t=np.arange(1, steps + 1))
+    g = global_state(net, SCALING)
+    assert g.shape == (steps, 18)
+    for i in range(steps):
+        one = make_net(net.throughput[i], net.delay[i], net.load[i], net.users[i], t=i + 1)
+        assert g[i].tobytes() == global_state(one, SCALING).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # coordination messages
 # ---------------------------------------------------------------------------
@@ -266,7 +279,7 @@ def test_projection_batch_rows_are_valid_actions():
     rng = np.random.default_rng(4)
     prop = rng.normal(0.3, 0.5, size=(5, 3))
     out = project_or_reject(prop)
-    validate_allocation(out, 5, 2)
+    validate_allocation(out[None], 5, 2)
     # mixed batch: valid rows untouched, invalid rows fixed
     prop[2] = [0.2, 0.5, 0.3]
     out = project_or_reject(prop)

@@ -158,26 +158,26 @@ def test_walk_conserves_population_and_alignment():
     topo = Topology.ring(4, B20, 0.5, 2.0)
     rng = np.random.default_rng(7)
     pos = rng.integers(0, 4, size=(2, 16))
-    out = walk_users(np.random.default_rng(1), topo, pos, p_stay=0.8)
-    assert out.shape == pos.shape
+    out = walk_users(np.random.default_rng(1), topo, pos, p_stay=0.8, steps=1)
+    assert out.shape == (1,) + pos.shape
     assert ((0 <= out) & (out < 4)).all()
     # same seed, same input -> identical walk
-    out2 = walk_users(np.random.default_rng(1), topo, pos, p_stay=0.8)
+    out2 = walk_users(np.random.default_rng(1), topo, pos, p_stay=0.8, steps=1)
     assert np.array_equal(out, out2)
 
 
 def test_walk_stays_when_no_neighbors():
     topo = Topology.ring(1, B20, 0.5, 2.0)
     pos = np.zeros((1, 8), dtype=int)
-    out = walk_users(np.random.default_rng(0), topo, pos, p_stay=0.0)
-    assert np.array_equal(out, pos)
+    out = walk_users(np.random.default_rng(0), topo, pos, p_stay=0.0, steps=1)
+    assert np.array_equal(out[0], pos)
 
 
 def test_walk_p_stay_one_freezes_users():
     topo = Topology.ring(5, B20, 0.5, 2.0)
     pos = np.arange(10).reshape(2, 5) % 5
-    out = walk_users(np.random.default_rng(3), topo, pos, p_stay=1.0)
-    assert np.array_equal(out, pos)
+    out = walk_users(np.random.default_rng(3), topo, pos, p_stay=1.0, steps=1)
+    assert np.array_equal(out[0], pos)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +194,7 @@ def test_offered_traffic_values():
                            masks=masks)
         env = SliceEnv(sc, 0)
         env.reset()
-        st = env.step(np.array([[[0.0, 0.5, 0.5]]]))
+        st = draw_and_step(env, np.array([[[0.0, 0.5, 0.5]]]))
         assert st.users.tolist() == [[[0, users]]]
         served = st.throughput[0] * st.users[0]
         assert served[0, 0] == 0.0
@@ -402,30 +402,33 @@ def test_served_traffic_conservation():
 
 
 def test_validate_allocation_accepts_simplex():
-    a = np.array([[0.2, 0.5, 0.3]])
+    a = np.array([[[0.2, 0.5, 0.3]]])
     out = validate_allocation(a, 1, 2)
     assert out is not None and np.array_equal(out, a)
 
 
 def test_validate_allocation_rejects_bad_sum():
     with pytest.raises(ConstraintViolationError):
-        validate_allocation(np.array([[0.2, 0.5, 0.4]]), 1, 2)
+        validate_allocation(np.array([[[0.2, 0.5, 0.4]]]), 1, 2)
 
 
 def test_validate_allocation_rejects_negative_and_nan():
     with pytest.raises(ConstraintViolationError):
-        validate_allocation(np.array([[-0.1, 0.7, 0.4]]), 1, 2)
+        validate_allocation(np.array([[[-0.1, 0.7, 0.4]]]), 1, 2)
     with pytest.raises(ConstraintViolationError):
-        validate_allocation(np.array([[np.nan, 0.5, 0.5]]), 1, 2)
+        validate_allocation(np.array([[[np.nan, 0.5, 0.5]]]), 1, 2)
 
 
 def test_validate_allocation_rejects_wrong_shape():
     with pytest.raises(ConstraintViolationError):
-        validate_allocation(np.array([[0.5, 0.5]]), 1, 2)
+        validate_allocation(np.array([[[0.5, 0.5]]]), 1, 2)
+    # one step's (K, N+1) matrix without the step axis is refused too
+    with pytest.raises(ConstraintViolationError, match=r"\(1, 3\) is not a \(T, 1, 3\) stack"):
+        validate_allocation(np.array([[0.2, 0.5, 0.3]]), 1, 2)
 
 
 def test_validate_allocation_tolerance_boundary():
-    a = np.array([[0.2, 0.5, 0.3 + 9e-10]])
+    a = np.array([[[0.2, 0.5, 0.3 + 9e-10]]])
     validate_allocation(a, 1, 2)  # within 1e-9, accepted
 
 
@@ -437,9 +440,9 @@ def _over_one(excess):
 
 
 def test_validate_allocation_upper_tolerance_boundary():
-    validate_allocation(_over_one(0.5), 1, 2)
+    validate_allocation(_over_one(0.5)[None], 1, 2)
     with pytest.raises(ConstraintViolationError, match=r"outside \[0, 1\]"):
-        validate_allocation(_over_one(1.5), 1, 2)
+        validate_allocation(_over_one(1.5)[None], 1, 2)
 
 
 def test_validate_allocation_upper_tolerance_boundary_in_a_stack():
@@ -457,6 +460,12 @@ def test_validate_allocation_upper_tolerance_boundary_in_a_stack():
 # ---------------------------------------------------------------------------
 
 
+def draw_and_step(env, alloc):
+    """Draw as many steps as the stack ``alloc`` holds and step them."""
+    env.draw(len(alloc))
+    return env.step(alloc)
+
+
 def test_env_determinism():
     topo = Topology.ring(3, B20, 0.3, 2.0)
     sc = make_scenario(topo, lam_ue=(3e6, 2e6), groups=(8, 8),
@@ -471,7 +480,7 @@ def test_env_determinism():
     def run(seed):
         env = SliceEnv(sc, seed)
         env.reset()
-        return [env.step(a[None]) for a in seq]
+        return [draw_and_step(env, a[None]) for a in seq]
 
     sa, sb = run(123), run(123)
     for x, y in zip(sa, sb):
@@ -487,7 +496,7 @@ def test_env_zero_mask_yields_zero_throughput():
     env = SliceEnv(sc, 0)
     env.reset()
     for _ in range(5):
-        st = env.step(np.array([[[0.5, 0.5]]]))
+        st = draw_and_step(env, np.array([[[0.5, 0.5]]]))
         assert st.users.sum() == 0
         assert np.all(st.throughput == 0.0)
 
@@ -499,7 +508,7 @@ def test_env_mask_evaluated_after_time_advances():
     env = SliceEnv(sc, 2)
     st0 = env.reset()
     assert st0.users.sum() == 0  # mask value 0 at t=0
-    st1 = env.step(np.array([[[0.5, 0.5]]]))
+    st1 = draw_and_step(env, np.array([[[0.5, 0.5]]]))
     assert st1.t.tolist() == [1]
     assert st1.users.sum() == 6  # mask value 1 at t=1
 
@@ -512,7 +521,7 @@ def test_env_state_carries_the_mask_values_of_its_time():
     env = SliceEnv(sc, 4)
     states = [env.reset()]
     alloc = np.full((1, 6, 3), 1.0 / 3.0)
-    states += [env.step(alloc) for _ in range(30)]
+    states += [draw_and_step(env, alloc) for _ in range(30)]
     for st in states:
         assert st.mask.tolist() == [[m.value(t) for m in masks] for t in st.t.tolist()]
 
@@ -526,7 +535,7 @@ def test_env_monotone_allocation_sweep():
     for share in np.arange(0.1, 0.95, 0.1):
         env = SliceEnv(sc, 7)
         env.reset()
-        st = env.step(np.array([[[1.0 - share, share]]]))
+        st = draw_and_step(env, np.array([[[1.0 - share, share]]]))
         served.append(float(st.throughput[0, 0, 0] * st.users[0, 0, 0]))
     for lo, hi in zip(served, served[1:]):
         assert hi >= lo - 1e-6
@@ -540,7 +549,7 @@ def test_env_rejects_off_simplex_action():
     env = SliceEnv(sc, 0)
     env.reset()
     with pytest.raises(ConstraintViolationError):
-        env.step(np.array([[[0.3, 0.3]]]))
+        draw_and_step(env, np.array([[[0.3, 0.3]]]))
 
 
 def test_env_does_not_mutate_allocation():
@@ -550,7 +559,7 @@ def test_env_does_not_mutate_allocation():
     env.reset()
     a = np.array([[[0.25, 0.75]]])
     keep = a.copy()
-    env.step(a)
+    draw_and_step(env, a)
     assert np.array_equal(a, keep)
 
 
@@ -567,31 +576,33 @@ def _states_bytes(st):
 
 def test_env_step_refuses_a_single_allocation_and_names_the_stack_shape():
     sc = make_scenario(Topology.grid(6, B20, 0.2, 2.0), lam_ue=(3e6, 2e6), groups=(12, 12))
-    env, fresh = SliceEnv(sc, 5), SliceEnv(sc, 5)
+    env = SliceEnv(sc, 5)
     env.reset()
-    fresh.reset()
     alloc = np.full((6, 3), 1.0 / 3.0)
+    env.draw(1)
     with pytest.raises(ConstraintViolationError, match=r"\(6, 3\) is not a \(T, 6, 3\) stack"):
         env.step(alloc)
-    # the refused allocation drew nothing: the next step is a fresh run's first
-    assert env.t == 0
-    assert _states_bytes(env.step(alloc[None])) == _states_bytes(fresh.step(alloc[None]))
 
 
-def test_env_steps_undrawn_stacks_as_it_steps_drawn_ones():
+def test_env_step_with_nothing_drawn_raises_and_leaves_the_stream():
     topo = Topology.grid(6, B20, 0.2, 2.0)
     masks = (TrafficMask(((0.0, 0.2), (7.0, 1.0)), period=13.0),
              TrafficMask(((2.0, 1.0), (9.0, 0.0)), period=11.0))
     sc = make_scenario(topo, lam_ue=(3e6, 2e6), groups=(12, 12), masks=masks, p_stay=0.5)
-    rng = np.random.default_rng(8)
-    undrawn, drawn = SliceEnv(sc, 9), SliceEnv(sc, 9)
-    assert _states_bytes(undrawn.reset()) == _states_bytes(drawn.reset())
-    for count in (1, 3, 7, 1, 12):
-        raw = rng.random((count, 6, 3))
-        alloc = raw / raw.sum(axis=-1, keepdims=True)
-        users = drawn.draw(count)
-        want = drawn.step(alloc)
-        got = undrawn.step(alloc)
-        assert got.users.tobytes() == users.tobytes()
-        assert _states_bytes(got) == _states_bytes(want)
-    assert undrawn.t == drawn.t == 24
+    env, fresh = SliceEnv(sc, 9), SliceEnv(sc, 9)
+    assert _states_bytes(env.reset()) == _states_bytes(fresh.reset())
+    raw = np.random.default_rng(8).random((3, 6, 3))
+    alloc = raw / raw.sum(axis=-1, keepdims=True)
+    with pytest.raises(RuntimeError, match=r"draw\(\) before step\(\)"):
+        env.step(alloc)
+    assert env.t == 0
+    # the refused step drew nothing: the next block is a fresh run's first
+    users = env.draw(3)
+    assert users.tobytes() == fresh.draw(3).tobytes()
+    got = env.step(alloc)
+    assert got.users.tobytes() == users.tobytes()
+    assert _states_bytes(got) == _states_bytes(fresh.step(alloc))
+    # a stepped block is spent: stepping it again raises
+    with pytest.raises(RuntimeError, match=r"draw\(\) before step\(\)"):
+        env.step(alloc)
+    assert env.t == 3

@@ -19,21 +19,21 @@ def zero_net(spec):
 
 def test_zero_net_linear_head_outputs_zero():
     net = zero_net(MlpSpec((4, 3), head="linear"))
-    assert np.array_equal(net.forward(np.ones(4)), np.zeros(3))
+    assert np.array_equal(net.forward(np.ones((1, 4))), np.zeros((1, 3)))
 
 
 def test_identity_layer_passthrough():
     spec = MlpSpec((3, 3), head="linear")
     net = Mlp(spec, [np.eye(3)], [np.zeros(3)])
-    x = np.array([0.3, -1.2, 4.5])
+    x = np.array([[0.3, -1.2, 4.5]])
     assert np.allclose(net.forward(x), x)
 
 
 def test_softmax_head_analytic_block():
     spec = MlpSpec((3, 3), head="softmax_blocks", block_size=3)
     net = Mlp(spec, [np.eye(3)], [np.zeros(3)])
-    y = net.forward(np.array([np.log(2.0), 0.0, 0.0]))
-    assert y == pytest.approx([0.5, 0.25, 0.25])
+    y = net.forward(np.array([[np.log(2.0), 0.0, 0.0]]))
+    assert y[0] == pytest.approx([0.5, 0.25, 0.25])
 
 
 def test_forward_batch_matches_single():
@@ -42,20 +42,22 @@ def test_forward_batch_matches_single():
     xs = rng.normal(size=(6, 5))
     batch = net.forward(xs)
     for i in range(6):
-        assert np.allclose(batch[i], net.forward(xs[i]))
+        assert np.allclose(batch[i], net.forward(xs[i:i + 1])[0])
 
 
 def test_forward_is_pure():
     rng = np.random.default_rng(1)
     net = Mlp.init(rng, MlpSpec((4, 6, 3), head="linear"))
-    x = rng.normal(size=4)
+    x = rng.normal(size=(3, 4))
     assert np.array_equal(net.forward(x), net.forward(x))
 
 
 def test_forward_rejects_bad_dimension():
     net = zero_net(MlpSpec((4, 2)))
     with pytest.raises(ValueError):
-        net.forward(np.ones(5))
+        net.forward(np.ones((1, 5)))
+    with pytest.raises(ValueError):  # no batch axis
+        net.forward(np.ones(4))
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +112,8 @@ def test_single_linear_layer_quadratic_gradient():
     # L = (w x + b - t)^2  =>  dL/dw = 2 (w x + b - t) x
     w, b, x, t = 0.7, -0.2, 1.3, 2.0
     net = Mlp(MlpSpec((1, 1)), [np.array([[w]])], [np.array([b])])
-    y, cache = net.forward_cached(np.array([x]))
-    grads, _ = net.backward(cache, np.array([2 * (y[0] - t)]))
+    y, cache = net.forward_cached(np.array([[x]]))
+    grads, _ = net.backward(cache, np.array([[2 * (y[0, 0] - t)]]))
     resid = w * x + b - t
     assert grads[0][0, 0] == pytest.approx(2 * resid * x)
     assert grads[1][0] == pytest.approx(2 * resid)
@@ -176,8 +178,8 @@ def test_backward_sums_over_batch():
     grads_all, _ = net.backward(cache, v)
     accum = [np.zeros_like(g) for g in grads_all]
     for i in range(4):
-        _, ci = net.forward_cached(xs[i])
-        gi, _ = net.backward(ci, v[i])
+        _, ci = net.forward_cached(xs[i:i + 1])
+        gi, _ = net.backward(ci, v[i:i + 1])
         for a, g in zip(accum, gi):
             a += g
     for a, g in zip(accum, grads_all):
@@ -206,7 +208,7 @@ def test_stack_matches_its_members_bit_for_bit():
             assert np.array_equal(y[e], ye) and np.array_equal(gx[e], gxe)
             for g, g_e in zip(grads, ge):
                 assert np.array_equal(g[e], g_e)
-            assert np.array_equal(stack.logits(x[:, 0])[e], net.logits(x[e, 0]))
+            assert np.array_equal(stack.logits(x[:, :1])[e], net.logits(x[e, :1]))
 
 
 def test_parameters_are_views_of_the_flat_array():

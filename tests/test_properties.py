@@ -159,7 +159,10 @@ def test_user_counts_follow_the_rounded_mask(topo, slices, p_stay, steps, seed, 
     spec = SliceSpec((5e6,) * slices, (1e-3,) * slices, (3e6,) * slices)
     env = SliceEnv(Scenario(topo, spec, slice_masks, groups, p_stay=p_stay), seed)
     alloc = np.full((1, k, slices + 1), 1.0 / (slices + 1))
-    states = [env.reset()] + [env.step(alloc) for _ in range(steps)]
+    states = [env.reset()]
+    for _ in range(steps):
+        env.draw(1)
+        states.append(env.step(alloc))
     for net in states:
         want = [math.floor(g * m.value(int(net.t[0])) + 0.5) for g, m in zip(groups, slice_masks)]
         assert net.users.shape == (1, k, slices)
@@ -192,7 +195,7 @@ def test_walk_users_matches_the_per_user_loop(topo, slices, users, p_stay, seed,
     positions = data.draw(hnp.arrays(np.int64, (slices, users),
                                      elements=st.integers(0, topo.cell_count - 1)))
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = walk_users(rng, topo, positions, p_stay)
+    got = walk_users(rng, topo, positions, p_stay, 1)[0]
     want = reference_walk_users(ref_rng, topo, positions, p_stay)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
@@ -492,7 +495,7 @@ def test_walk_of_several_steps_matches_as_many_single_steps(topo, slices, users,
     got = walk_users(rng, topo, positions, p_stay, steps)
     want, pos = [], positions
     for _ in range(steps):
-        pos = walk_users(ref_rng, topo, pos, p_stay)
+        pos = walk_users(ref_rng, topo, pos, p_stay, 1)[0]
         want.append(pos)
     assert got.shape == (steps, slices, users) and got.dtype == positions.dtype
     assert np.array_equal(got, np.stack(want))
@@ -545,9 +548,10 @@ def test_stacked_solve_and_kpis_match_each_step_alone(problem, tol, max_iter):
 
 
 def _single_problem(allocation, cells, slices):
-    """The error ``validate_allocation`` gives one allocation, or None."""
+    """The error ``validate_allocation`` gives one allocation, alone in a
+    stack of one, or None."""
     try:
-        validate_allocation(allocation, cells, slices)
+        validate_allocation(allocation[None], cells, slices)
     except ConstraintViolationError as e:
         return str(e)
     return None
@@ -616,7 +620,7 @@ def test_stacked_rewards_and_efficiency_match_each_step_alone(steps, cells, slic
 @st.composite
 def nets_and_inputs(draw):
     """A plain net or a stack of 1-3 members, any head, 0-2 hidden layers,
-    with a single input (no batch axis) or a batch of 1-5 rows."""
+    with a batch of 1-5 rows."""
     head = draw(st.sampled_from(HEADS))
     block = draw(st.integers(2, 3)) if head == "softmax_blocks" else 0
     d_out = block * draw(st.integers(1, 3)) if block else draw(st.integers(1, 4))
@@ -628,10 +632,9 @@ def nets_and_inputs(draw):
         net, lead = Mlp.init(rng, spec), ()
     else:
         net, lead = Mlp.stack([Mlp.init(rng, spec) for _ in range(members)]), (members,)
-    batch = draw(st.sampled_from([None, 1, 2, 5]))
-    rows = () if batch is None else (batch,)
-    x = rng.normal(size=lead + rows + (spec.d_in,))
-    v = rng.normal(size=lead + rows + (spec.d_out,))
+    batch = draw(st.sampled_from([1, 2, 5]))
+    x = rng.normal(size=lead + (batch, spec.d_in))
+    v = rng.normal(size=lead + (batch, spec.d_out))
     return net, x, v
 
 

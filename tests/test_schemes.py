@@ -50,12 +50,13 @@ def small_hyper(**kw):
 
 
 def make_net(scenario, rng=None, load=0.3):
+    """A stack of one state, as the runner hands a learner."""
     k, n = scenario.cell_count, scenario.slice_count
     rng = rng or np.random.default_rng(0)
-    return NetState(throughput=rng.random((k, n)) * 5e6,
-                    delay=rng.random((k, n)) * 1e-3 + 2e-4,
-                    load=np.full((k, n), load),
-                    users=rng.integers(0, 6, (k, n)), t=1)
+    return NetState(throughput=rng.random((1, k, n)) * 5e6,
+                    delay=rng.random((1, k, n)) * 1e-3 + 2e-4,
+                    load=np.full((1, k, n), load),
+                    users=rng.integers(0, 6, (1, k, n)), t=np.ones(1, dtype=np.int64))
 
 
 def controller(kind, k=3, hyper=None, seed=0, **reward_kw):
@@ -103,8 +104,8 @@ def test_unknown_kind_rejected():
 def test_static_default_allocation():
     ctl, sc, *_ = controller("static_default")
     _, alloc = ctl.act(make_net(sc).users, "eval", 0)
-    assert alloc.shape == (3, 3)
-    for row in alloc:
+    assert alloc.shape == (1, 3, 3)
+    for row in alloc[0]:
         assert row == pytest.approx([0.0, 0.8, 0.2])
 
 
@@ -120,8 +121,8 @@ def test_baseline_idle_cell_convention():
 def test_baseline_never_allocates_headroom():
     rng = np.random.default_rng(3)
     for _ in range(10):
-        alloc = baseline_allocation(rng.integers(0, 9, (4, 2)))
-        assert np.all(alloc[:, 0] == 0.0)
+        alloc = baseline_allocation(rng.integers(0, 9, (1, 4, 2)))
+        assert np.all(alloc[..., 0] == 0.0)
         validate_allocation(alloc, 4, 2)
 
 
@@ -129,9 +130,8 @@ def test_static_and_baseline_do_not_learn():
     for kind in ("static_default", "baseline"):
         ctl, sc, *_ = controller(kind)
         net = make_net(sc)
-        _, alloc = ctl.act(net.users, "train", 5)
-        ctl.record(net, alloc, net)  # accepted and ignored
-        assert not ctl.trains and not hasattr(ctl, "train")
+        ctl.act(net.users, "train", 5)
+        assert not ctl.trains and not hasattr(ctl, "record") and not hasattr(ctl, "train")
         assert ctl.param_count() == 0
 
 
@@ -161,7 +161,7 @@ def test_cen_soft_proposal_equals_action():
 def test_cen_pen_proposals_can_violate():
     ctl, sc, *_ = controller("cen_pen", seed=2)
     props, alloc = ctl.act(make_net(sc), "eval", 0)
-    assert np.abs(props.sum(axis=1) - 1.0).max() > 1e-6  # sigmoid rows off-simplex
+    assert np.abs(props.sum(axis=-1) - 1.0).max() > 1e-6  # sigmoid rows off-simplex
     validate_allocation(alloc, sc.cell_count, sc.slice_count)
 
 
@@ -185,7 +185,7 @@ def test_dist_stores_local_rewards():
     net = make_net(sc)
     props, _ = ctl.act(net, "explore", 0)
     ctl.record(net, props, net)
-    assert np.array_equal(ctl.agent.buffer.peek(0).reward, reward_local(net, rewards))
+    assert np.array_equal(ctl.agent.buffer.peek(0).reward, reward_local(net, rewards)[0])
 
 
 def test_cen_soft_stores_global_reward():
@@ -193,7 +193,7 @@ def test_cen_soft_stores_global_reward():
     net = make_net(sc)
     props, _ = ctl.act(net, "explore", 0)
     ctl.record(net, props, net)
-    assert ctl.agent.buffer.peek(0).reward[0] == pytest.approx(reward_global(net, rewards))
+    assert ctl.agent.buffer.peek(0).reward[0] == pytest.approx(reward_global(net, rewards)[0])
 
 
 def test_cen_pen_stores_penalized_reward():
@@ -201,7 +201,7 @@ def test_cen_pen_stores_penalized_reward():
     net = make_net(sc)
     props, _ = ctl.act(net, "explore", 0)
     ctl.record(net, props, net)
-    expect = reward_penalized(reward_global(net, rewards), np.mean(penalty_gaps(props)),
+    expect = reward_penalized(reward_global(net, rewards)[0], np.mean(penalty_gaps(props)),
                               rewards.beta)
     assert ctl.agent.buffer.peek(0).reward[0] == pytest.approx(expect)
 
@@ -224,9 +224,10 @@ def test_dist_symmetry_with_shared_weights():
     ctl, sc, *_ = controller("dist")
     ctl.agent.actor.flat[1:] = ctl.agent.actor.flat[0]
     k, n = sc.cell_count, sc.slice_count
-    net = NetState(throughput=np.full((k, n), 2e6), delay=np.full((k, n), 5e-4),
-                   load=np.full((k, n), 0.3), users=np.full((k, n), 2), t=1)
-    _, alloc = ctl.act(net, "eval", 0)
+    net = NetState(throughput=np.full((1, k, n), 2e6), delay=np.full((1, k, n), 5e-4),
+                   load=np.full((1, k, n), 0.3), users=np.full((1, k, n), 2),
+                   t=np.ones(1, dtype=np.int64))
+    _, (alloc,) = ctl.act(net, "eval", 0)
     for row in alloc[1:]:
         assert np.allclose(row, alloc[0])
 

@@ -239,8 +239,8 @@ def test_critic_regresses_to_reward_when_gamma_zero():
     batch = agent.buffer.sample([np.random.default_rng(0)], 4)
     for _ in range(600):
         agent.critic_update(batch)
-    q = agent.critics.member(0).forward(np.concatenate([s, prop]))
-    assert q[0] == pytest.approx(0.6180, abs=1e-2)
+    q = agent.critics.member(0).forward(np.concatenate([s, prop])[None])
+    assert q[0, 0] == pytest.approx(0.6180, abs=1e-2)
 
 
 def test_identical_twins_stay_identical():
@@ -311,8 +311,8 @@ def test_actor_converges_to_critic_optimum():
         agent.critic_update(agent.buffer.sample(agent.rngs, 32))
     for step in range(800):
         agent.actor_update(agent.buffer.sample(agent.rngs, 32))
-    out = agent.actor.forward(s)
-    assert out[0, 0] == pytest.approx(0.7, abs=0.05)
+    out = agent.actor.forward(s[:, None])  # the one agent's batch of one
+    assert out[0, 0, 0] == pytest.approx(0.7, abs=0.05)
 
 
 def test_actor_gradients_match_finite_differences_through_softmax():
@@ -437,7 +437,7 @@ def test_agent_checkpoint_roundtrip(tmp_path):
         assert np.array_equal(theirs[name], value), name
     assert (other.actor_opt.t, other.critic_opt.t) == (5, 10)
     # copied in place: the per-layer views still read the loaded parameters
-    s = np.random.default_rng(3).random((1, 4))
+    s = np.random.default_rng(3).random((1, 1, 4))
     assert np.array_equal(other.actor.forward(s), agent.actor.forward(s))
 
 
