@@ -41,9 +41,9 @@ def _median(values) -> float | None:
     return float(np.median(vals))
 
 
-def compare_runs(paths) -> dict:
-    """Aggregate run summaries per scheme; refuses mixed scenarios or phase plans."""
-    summaries = [s if isinstance(s, dict) else load_summary(s) for s in paths]
+def compare_runs(summaries) -> dict:
+    """Aggregate loaded run summaries per scheme; refuses mixed scenarios or
+    phase plans."""
     if not summaries:
         raise ValueError("need at least one summary")
     hashes = {s["scenario_hash"] for s in summaries}
@@ -103,11 +103,9 @@ def read_column(csv_path, column: str) -> np.ndarray:
 
 def mean_curve(summaries, column: str = "reward_raw", window: int = 100,
                stride: int = 50) -> dict:
-    """Smoothed per-step curve averaged over runs, downsampled for plotting."""
-    traces = []
-    for s in summaries:
-        s = s if isinstance(s, dict) else load_summary(s)
-        traces.append(smooth(read_column(s["steps_csv"], column), window=window))
+    """Smoothed per-step curve averaged over loaded run summaries,
+    downsampled for plotting."""
+    traces = [smooth(read_column(s["steps_csv"], column), window=window) for s in summaries]
     length = min(len(t) for t in traces)
     mean = np.mean([t[:length] for t in traces], axis=0)
     idx = np.arange(0, length, max(1, int(stride)))

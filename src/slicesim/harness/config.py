@@ -209,12 +209,12 @@ def parse_hyper(obj, path: str = "agent") -> AgentHyperParams:
         if f.name not in section:
             continue
         v = section[f.name]
-        if f.name.endswith("_hidden"):
+        if f.type == "tuple[int, ...]":  # layer widths
             if not isinstance(v, list) or not all(
                     isinstance(x, int) and not isinstance(x, bool) and x > 0 for x in v):
                 raise ConfigError(f"{path}.{f.name}: expected a list of positive integers")
             kwargs[f.name] = tuple(v)
-        elif f.name in ("batch_size", "policy_delay", "buffer_capacity"):
+        elif f.type == "int":
             kwargs[f.name] = _integer(section, f.name, path, minimum=1)
         else:
             top = 1.0 if f.name in UNIT_INTERVAL else None
@@ -272,12 +272,13 @@ def parse_config(data: dict) -> ExperimentConfig:
 
     static = scheme_section.get("static_allocation")
     if static is not None:
-        if not isinstance(static, list) or len(static) != scenario.slice_count + 1:
+        if not isinstance(static, list):
             raise ConfigError("scheme.static_allocation: expected one entry per slice "
                               "plus headroom")
         for i, x in enumerate(static):
             _checked_number(x, f"scheme.static_allocation[{i}]")
-        # the check the static scheme makes when it is built, so validate catches it
+        # the length and simplex checks the static scheme makes when it is
+        # built, so validate catches them
         static = tuple(static_allocation_row(static, scenario.slice_count,
                                              "scheme.static_allocation").tolist())
 

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields as dc_fields
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +23,11 @@ from slicesim.harness.gridsearch import evaluate_static, grid_search, simplex_gr
 from slicesim.harness.metrics import (mask_correlation, resource_efficiency, smooth,
                                       steps_to_fraction_of_final)
 from slicesim.harness.runner import csv_header, run_experiment, run_single
+from slicesim.mdp import reward_global
 from slicesim.netsim import (TOPOLOGY_BUILDERS, ConfigError, ConstraintViolationError,
-                             NetState, Topology, TrafficMask)
+                             NetState, SliceEnv, Topology, TrafficMask)
 from slicesim.schemes import BaselineController, build_scheme
+from slicesim.td3 import AgentHyperParams
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -282,6 +285,27 @@ def test_hidden_widths_must_be_positive_integers(hidden):
         parse_config(data)
 
 
+@pytest.mark.parametrize("field", dc_fields(AgentHyperParams), ids=lambda f: f.name)
+def test_agent_settings_parse_as_their_declared_types(field):
+    # the dataclass annotations alone say which settings are integers and
+    # which are lists of layer widths
+    data = tiny_config_data()
+    if field.type == "int":
+        data["agent"] = {field.name: 2.5}
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"agent.{field.name}: expected an integer")):
+            parse_config(data)
+    elif field.type == "tuple[int, ...]":
+        data["agent"] = {field.name: 8}
+        with pytest.raises(ConfigError, match=re.escape(
+                f"agent.{field.name}: expected a list of positive integers")):
+            parse_config(data)
+    else:
+        assert field.type == "float"
+        data["agent"] = {field.name: 0.5}
+        assert getattr(parse_config(data).hyper, field.name) == 0.5
+
+
 @pytest.mark.parametrize("entry, message", [
     (None, "expected a number, got NoneType"),
     ("0.5", "expected a number, got str"),
@@ -456,13 +480,53 @@ def test_grid_search_rejects_a_step_that_is_not_one_over_a_whole_number(step):
 def test_evaluate_static_requires_single_cell_constant_masks():
     ref = load_config(CONFIG_DIR / "reference.json")
     with pytest.raises(ConfigError, match="single-cell"):
-        evaluate_static(ref.scenario, ref.rewards, [0.0, 0.5, 0.5])
+        evaluate_static(ref.scenario, ref.rewards, [[0.0, 0.5, 0.5]])
     toy = load_config(CONFIG_DIR / "toy.json")
     varying = tiny_config_data()
     varying["scenario"]["slices"][0]["mask"]["breakpoints"] = [[0.0, 0.2], [100.0, 1.0]]
     cfg = parse_config(varying)
     with pytest.raises(ConfigError, match="constant"):
-        evaluate_static(cfg.scenario, toy.rewards, [0.0, 0.5, 0.5])
+        evaluate_static(cfg.scenario, toy.rewards, [[0.0, 0.5, 0.5]])
+
+
+def test_evaluate_static_scores_each_point_as_a_fresh_environment_would(monkeypatch):
+    # the reference: one fresh environment and one step per grid point
+    cfg = load_config(CONFIG_DIR / "toy.json")
+    grid = np.array(list(simplex_grid(3, 20)))
+    assert len(grid) == 231
+    reference = []
+    for alloc in grid:
+        env = SliceEnv(cfg.scenario, 0)
+        env.reset()
+        env.draw(1)
+        reference.append(reward_global(env.step(alloc[None, None, :]), cfg.rewards)[0])
+    scores = evaluate_static(cfg.scenario, cfg.rewards, grid)
+    assert scores.shape == (231,)
+    assert scores.tobytes() == np.array(reference).tobytes()
+
+    calls = []
+    step = SliceEnv.step
+
+    def counted_step(env, allocation):
+        calls.append(allocation.shape)
+        return step(env, allocation)
+
+    monkeypatch.setattr(SliceEnv, "step", counted_step)
+    assert grid_search(cfg.scenario, cfg.rewards, step=0.05)["points"] == 231
+    assert calls == [(231, 1, 3)]
+
+
+def test_grid_search_ties_keep_the_first_enumerated_point():
+    # with no traffic every slice meets its targets, so every point scores 1
+    data = json.loads((CONFIG_DIR / "toy.json").read_text())
+    for s in data["scenario"]["slices"]:
+        s["mask"]["breakpoints"] = [[0.0, 0.0]]
+    cfg = parse_config(data)
+    grid = np.array(list(simplex_grid(3, 100)))
+    assert (evaluate_static(cfg.scenario, cfg.rewards, grid) == 1.0).all()
+    res = grid_search(cfg.scenario, cfg.rewards, step=0.01)
+    assert res["allocation"] == [0.0, 0.0, 1.0]
+    assert res["reward"] == 1.0
 
 
 # ---------------------------------------------------------------------------
