@@ -8,7 +8,7 @@ import sys
 
 from ..netsim import ConfigError
 from ..schemes import SCHEME_KINDS
-from .compare import compare_runs, format_table, load_summary, mean_curve
+from .compare import by_scheme, compare_runs, format_table, load_summary, mean_curve
 from .config import load_config
 from .gridsearch import grid_search
 from .runner import run_experiment
@@ -41,11 +41,8 @@ def _cmd_compare(args) -> int:
     result = compare_runs(summaries)
     print(format_table(result))
     if args.curves:
-        by_scheme: dict[str, list[dict]] = {}
-        for s in summaries:
-            by_scheme.setdefault(s["scheme"], []).append(s)
         curves = {kind: mean_curve(group, column=args.column)
-                  for kind, group in sorted(by_scheme.items())}
+                  for kind, group in by_scheme(summaries).items()}
         with open(args.curves, "w") as fh:
             json.dump(curves, fh)
         print(f"curves written to {args.curves}")

@@ -29,7 +29,6 @@ def load_summary(path) -> dict:
         p = p / "summary.json"
     with open(p) as fh:
         summary = json.load(fh)
-    summary["_path"] = str(p)
     summary["steps_csv"] = str(p.parent / "steps.csv")
     return summary
 
@@ -39,6 +38,14 @@ def _median(values) -> float | None:
     if not vals:
         return None
     return float(np.median(vals))
+
+
+def by_scheme(summaries) -> dict[str, list[dict]]:
+    """The summaries grouped per scheme, in scheme-name order."""
+    groups: dict[str, list[dict]] = {}
+    for s in summaries:
+        groups.setdefault(s["scheme"], []).append(s)
+    return dict(sorted(groups.items()))
 
 
 def compare_runs(summaries) -> dict:
@@ -53,12 +60,8 @@ def compare_runs(summaries) -> dict:
     if len(plans) > 1:
         raise ValueError(f"summaries span different phase plans: {sorted(plans)}")
 
-    by_scheme: dict[str, list[dict]] = {}
-    for s in summaries:
-        by_scheme.setdefault(s["scheme"], []).append(s)
-
     schemes = {}
-    for kind, group in sorted(by_scheme.items()):
+    for kind, group in by_scheme(summaries).items():
         row = {"seeds": sorted(s["seed"] for s in group), "runs": len(group)}
         for key, label in TABLE_METRICS:
             row[label] = _median([s.get(key) for s in group])

@@ -372,7 +372,10 @@ def _solve_steps(topology: Topology, allocation: np.ndarray, offered: np.ndarray
     Every operation is elementwise within a step, except the neighbour sum,
     which is one matrix-vector product per step (``np.matmul`` of the
     adjacency with a (T, K, 1) stack, the kernel ``np.dot`` runs on one
-    step); a step that has converged leaves the stack being iterated.
+    step). Every step keeps its place in the stack, and ``live`` marks the
+    steps not yet converged. A converged step repeats the round it converged
+    in, from the iterate it had before that round (zero loads for round 1),
+    so the stack computes nothing that the step's own solve does not.
     """
     k, n = offered.shape[-2:]
     steps = offered.size // (k * n)
@@ -389,22 +392,18 @@ def _solve_steps(topology: Topology, allocation: np.ndarray, offered: np.ndarray
     np.minimum(loads, 1.0, out=loads)
     result = loads.reshape(steps, k, n)  # a view: writing a step writes loads
     rounds = np.ones(steps, dtype=np.int64)
-    converged = np.ones(steps, dtype=bool)
     # the change from zero loads is the loads themselves
-    live = np.nonzero(np.maximum.reduce(result, (1, 2), None, None, False, 0.0) > tol)[0]
-    if not live.size:
-        return loads, rounds, converged
+    live = np.maximum.reduce(result, (1, 2), None, None, False, 0.0) > tol
+    if not any(live):  # any and min below: cheaper than a reduce call on a few steps
+        return loads, rounds, ~live
     adjacency = _adjacency(topology)
     coupling = topology.coupling
     peak, offered, served = (peak.reshape(steps, k, n), offered.reshape(steps, k, n),
                              served.reshape(steps, k, n))
-    if live.size < steps:  # the steps that converged in round 1 leave the stack
-        cur = result[live]
-        peak, offered, served = peak[live], offered[live], served[live]
-    else:
-        cur = result.copy()
+    # the steps that converged in round 1 repeat it from zero loads
+    cur = np.where(live[:, None, None], result, 0.0)
     nxt, cap, diff = cur.copy(), np.empty_like(cur), np.empty_like(cur)
-    total, denom = np.empty((len(live), k)), np.empty((len(live), k, 1))
+    total, denom = np.empty((steps, k)), np.empty((steps, k, 1))
     column = total[..., None]
     with np.errstate(divide="ignore"):  # offered / 0 where a capacity fell to 0
         for it in range(2, max_iter + 1):
@@ -420,22 +419,20 @@ def _solve_steps(topology: Topology, allocation: np.ndarray, offered: np.ndarray
             delta = np.maximum.reduce(np.subtract(nxt, cur, diff), (1, 2), None, None, False,
                                       0.0)
             cur, nxt = nxt, cur
-            if min(delta) <= tol:  # a few steps: cheaper than a reduce call
-                done = delta <= tol
-                finished = live[done]
-                result[finished] = cur[done]
-                rounds[finished] = it
-                if len(finished) == len(live):
-                    return loads, rounds, converged
-                go = ~done
-                live, cur, nxt, cap, diff, peak, offered, served, total, denom = (
-                    x[go] for x in (live, cur, nxt, cap, diff, peak, offered, served, total,
-                                    denom))
-                column = total[..., None]
-    result[live] = cur
+            # a converged step's change stays within tol, so once one step
+            # has converged this runs every round
+            if min(delta) <= tol:
+                done = live & (delta <= tol)
+                result[done] = cur[done]
+                rounds[done] = it
+                live &= ~done
+                if not any(live):
+                    return loads, rounds, ~live
+                # the converged steps go back to the iterate before this round
+                np.copyto(cur, nxt, where=~live[:, None, None])
+    result[live] = cur[live]
     rounds[live] = max_iter
-    converged[live] = False
-    return loads, rounds, converged
+    return loads, rounds, ~live
 
 
 # the delay curve: an idle or unloaded slice's delay (s), and the load at

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from slicesim.harness.compare import by_scheme
 from slicesim.harness.config import load_config
 from slicesim.harness.gridsearch import grid_search
 from slicesim.harness.runner import run_experiment, run_single
@@ -43,10 +44,7 @@ def reference_runs(tmp_path_factory):
     """All six schemes, five seeds each, grouped by scheme."""
     cfg = load_config(CONFIG_DIR / "reference.json")
     out = tmp_path_factory.mktemp("reference")
-    by_scheme: dict[str, list[dict]] = {}
-    for summary in run_experiment(cfg, out_root=out):
-        by_scheme.setdefault(summary["scheme"], []).append(summary)
-    return by_scheme
+    return by_scheme(run_experiment(cfg, out_root=out))
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,14 @@
 """Property tests for the core invariants: the action simplex, traffic-mask
 evaluation, the environment's user counts and monotonicity of the
-coupled-load fixed point; and exactness
+coupled-load fixed point; the load solve against the exact least fixed
+point of small instances, found by enumerating which entries saturate;
+and exactness
 tests of the whole-array environment step, the load solve, the mask
 lookup, observations, messages and rewards against the code they
 replaced, kept here as literal references; stacks of steps (the walk,
 the load solve, the KPIs, validation, rewards and efficiencies) against
-the same steps one at a time. ``Mlp.input_grad`` must give
+the same steps one at a time, a stacked solve raising no floating-point
+error its steps do not raise alone. ``Mlp.input_grad`` must give
 the bits of ``Mlp.backward``'s input gradient, and the runner's block
 CSV writer the bytes of the per-row ``repr``/``str`` join. Last, configs
 with one or two leaves replaced by a degenerate value (NaN, an infinity,
@@ -19,16 +22,18 @@ the suite stays deterministic and its cost fixed.
 
 import copy
 import csv
+import itertools
 import json
 import math
 import sys
 import tempfile
+from dataclasses import replace
 from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -202,11 +207,16 @@ def test_walk_users_matches_the_per_user_loop(topo, slices, users, p_stay, seed,
     assert rng.random() == ref_rng.random()  # both consumed the same draws
 
 
-def reference_solve(topology, allocation, offered, tol, max_iter):
-    """The ``_load_map`` iteration ``solve_coupled_loads`` replaced."""
+def reference_adjacency(topology):
     adjacency = np.zeros((topology.cell_count, topology.cell_count))
     for k, nbrs in enumerate(topology.neighbors):
         adjacency[k, list(nbrs)] = 1.0
+    return adjacency
+
+
+def reference_solve(topology, allocation, offered, tol, max_iter):
+    """The ``_load_map`` iteration ``solve_coupled_loads`` replaced."""
+    adjacency = reference_adjacency(topology)
 
     def capacity(loads):
         interference = adjacency @ loads.sum(axis=1)
@@ -327,6 +337,85 @@ def test_solve_coupled_loads_matches_the_load_map_loop_on_degenerate_inputs(topo
         (loads, *rest), (ref_loads, *ref_rest) = solve(), reference()
     assert loads.tobytes() == ref_loads.tobytes()
     assert rest == ref_rest
+
+
+def least_fixed_point(topology, allocation, offered):
+    """The least fixed point of the load map, solved exactly for a small
+    (K, N) instance: no iteration, so it shares no error with the solve.
+
+    An entry with traffic and no capacity is 1 and one without traffic 0; a
+    served entry is ``min(1, r_kn * (1 + c * (A L)_k))`` with ``r = offered
+    / peak``. Once the saturated served entries are chosen, the cell totals
+    L solve ``(I - c * diag(R) A) L = s + R``, with s the entries at 1 and R
+    the sum of r over the free entries of each cell. Every saturation
+    pattern is tried; the consistent ones (totals not negative, free
+    entries at most 1, saturated entries driven to at least 1) are every
+    fixed point, and the least is their componentwise minimum.
+    """
+    k = topology.cell_count
+    adjacency = reference_adjacency(topology)
+    peak = allocation[:, 1:] * topology.bandwidth_hz * topology.se_max
+    served = (offered > 0) & (peak > 0)
+    r = np.divide(offered, peak, out=np.zeros_like(offered), where=served)
+    blocked = ((offered > 0) & ~served).astype(float)
+    least = None
+    for pattern in itertools.product([False, True], repeat=int(served.sum())):
+        saturated = np.zeros_like(served)
+        saturated[served] = pattern
+        free = served & ~saturated
+        ones = (blocked + saturated).sum(axis=1)
+        rates = np.where(free, r, 0.0).sum(axis=1)
+        try:
+            totals = np.linalg.solve(np.eye(k) - topology.coupling * rates[:, None] * adjacency,
+                                     ones + rates)
+        except np.linalg.LinAlgError:
+            continue
+        drive = r * (1.0 + topology.coupling * (adjacency @ totals))[:, None]
+        if ((totals < -1e-12).any() or (drive[free] > 1 + 1e-12).any()
+                or (drive[saturated] < 1 - 1e-12).any()):
+            continue
+        loads = np.where(free, drive, blocked + saturated)
+        least = loads if least is None else np.minimum(least, loads)
+    return least
+
+
+@st.composite
+def small_load_problems(draw):
+    """A topology, allocation and traffic with K * N <= 8, and the factor
+    ``q = c * N * max(degree_k * r_kn)`` over the served entries by which
+    the load map contracts in the max norm where q < 1.
+
+    Zero shares give entries with traffic and no capacity, and traffic up
+    to twice the peak saturates entries in round 1. The coupling is drawn
+    as a share of the largest that keeps q at most 1, so that q < 0.9 is
+    common and the saturation is not only that of round 1."""
+    kind, slices = draw(st.sampled_from(["ring", "grid", "full"])), draw(st.integers(1, 4))
+    cells = draw(st.integers(1, 8 // slices))
+    raw = draw(hnp.arrays(float, (cells, slices + 1), elements=st.floats(0.01, 1.0)))
+    raw[:, 1:][draw(hnp.arrays(bool, (cells, slices)))] = 0.0
+    alloc = raw / raw.sum(axis=1, keepdims=True)
+    peak = alloc[:, 1:] * 20e6 * 2.0
+    ratio = draw(hnp.arrays(float, (cells, slices), elements=st.floats(0.0, 2.0)))
+    offered = ratio * np.where(peak > 0, peak, 20e6)
+    topo = TOPOLOGY_BUILDERS[kind](cells, 20e6, 0.0, 2.0)
+    degree = np.array([len(nbrs) for nbrs in topo.neighbors])
+    reach = slices * (degree[:, None] * np.where((offered > 0) & (peak > 0), ratio, 0.0)).max()
+    coupling = draw(st.floats(0.0, 1.0)) / max(reach, 1.0)
+    return replace(topo, coupling=coupling), alloc, offered, coupling * reach
+
+
+@settings(PROPERTY, max_examples=200)
+@given(small_load_problems(), st.sampled_from([1e-6, 1e-13]))
+def test_solve_coupled_loads_reaches_the_least_fixed_point(problem, tol):
+    topo, alloc, offered, q = problem
+    assume(q < 0.9)
+    loads, converged, _ = solve_coupled_loads(topo, alloc, offered, tol)
+    exact = least_fixed_point(topo, alloc, offered)
+    assert converged
+    # from zero loads the iterates rise towards the least fixed point, and
+    # the last change bounds the distance left by q / (1 - q)
+    assert (loads <= exact + 1e-12).all()
+    assert (exact - loads).max() <= tol * q / (1 - q) + 1e-12
 
 
 def reference_mask_value(mask, t):
@@ -532,19 +621,61 @@ def test_stacked_solve_and_kpis_match_each_step_alone(problem, tol, max_iter):
         loads, converged, iterations = solve_coupled_loads(topo, alloc, offered, tol, max_iter)
         _, rounds, flags = _solve_steps(topo, alloc, offered, tol, max_iter)
         alone = [solve_coupled_loads(topo, a, o, tol, max_iter) for a, o in zip(alloc, offered)]
+        loops = [reference_solve(topo, a, o, tol, max_iter) for a, o in zip(alloc, offered)]
         net = compute_kpis(topo, alloc, offered, loads, users, np.arange(1, steps + 1),
                            flags, np.zeros((steps, 1)))
         nets = [compute_kpis(topo, a, o, one[0], u, i + 1)
                 for i, (a, o, u, one) in enumerate(zip(alloc, offered, users, alone))]
     assert loads.tobytes() == np.stack([one[0] for one in alone]).tobytes()
-    # the stack converged when every step did, in as many rounds as theirs
+    # the stack converged when every step did, in as many rounds as theirs,
+    # which the load-map loop counts too
     assert flags.tolist() == [one[1] for one in alone]
-    assert rounds.tolist() == [one[2] for one in alone]
+    assert rounds.tolist() == [one[2] for one in alone] == [loop[2] for loop in loops]
     assert converged == all(flags) and iterations == sum(rounds)
     assert (net.cell_count, net.slice_count) == (topo.cell_count, alloc.shape[-1] - 1)
     for name in ("throughput", "delay"):
         assert getattr(net, name).tobytes() == np.stack([getattr(one, name)
                                                          for one in nets]).tobytes()
+
+
+def _example_with_an_early_and_a_late_step():
+    """Two steps on a ring with coupling 1e308: step 0 converges in round 3
+    and step 1 in round 1, whose loads would saturate in round 2 and make
+    a denominator overflow in round 3."""
+    alloc = np.full((2, 4, 3), 1 / 3)
+    alloc[0, 0] = [32 / 33, 1 / 66, 1 / 66]
+    offered = np.zeros((2, 4, 2))
+    offered[0, :2, 0] = 1.0
+    offered[1, 0] = 1.0
+    offered[1, 3, 0] = 1.0
+    return Topology.ring(4, 20e6, 1e308, 2.0), alloc, offered, np.ones((2, 4, 2), int)
+
+
+def _example_with_a_subnormal_step():
+    """Step 0 converges in round 12; step 1's one load, 2**-1064, is exact
+    in round 1, but the coupling times it underflows in round 2."""
+    offered = np.zeros((2, 3, 1))
+    offered[0] = 2.0 ** 23
+    offered[1, 0] = 2.0 ** -1040
+    return (Topology.ring(3, 2.0 ** 24, 0.3, 2.0), np.full((2, 3, 2), 0.5), offered,
+            np.ones((2, 3, 1), int))
+
+
+@settings(PROPERTY, max_examples=200)
+# a stack that iterated its converged steps on would overflow in the first
+# and underflow in the second, where no step does alone; the second shows it
+# even when the steps converged in round 1 start from zero loads
+@example(_example_with_an_early_and_a_late_step(), 1e-6, 1000)
+@example(_example_with_a_subnormal_step(), 1e-6, 1000)
+@given(stacked_problems(), st.sampled_from([1e-6, 1e-12, 0.0, 1.0]),
+       st.sampled_from([0, 1, 2, 3, 5, 1000]))
+def test_stacked_solve_raises_no_error_its_steps_do_not_alone(problem, tol, max_iter):
+    topo, alloc, offered, _ = problem
+    _, errors = _fp_errors(lambda: _solve_steps(topo, alloc, offered, tol, max_iter))
+    alone = set()
+    for a, o in zip(alloc, offered):
+        alone |= _fp_errors(lambda: _solve_steps(topo, a[None], o[None], tol, max_iter))[1]
+    assert errors <= alone
 
 
 def _single_problem(allocation, cells, slices):
