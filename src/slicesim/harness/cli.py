@@ -95,7 +95,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, KeyError, OSError, FloatingPointError) as exc:
+    except (ConfigError, ValueError, KeyError, OSError, FloatingPointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

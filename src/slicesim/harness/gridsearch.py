@@ -10,7 +10,8 @@ resolution).
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
+from math import comb
 
 import numpy as np
 
@@ -18,17 +19,18 @@ from ..mdp import RewardSpec, reward_global
 from ..netsim import ConfigError, Scenario, SliceEnv
 
 
-def simplex_grid(parts: int, resolution: int):
-    """Yield every length-``parts`` vector of multiples of 1/resolution summing to 1."""
+def simplex_grid(parts: int, resolution: int) -> np.ndarray:
+    """Every length-``parts`` vector of multiples of 1/resolution summing to 1,
+    as the rows of one (P, parts) array, in the order of their bar positions."""
     if parts < 1 or resolution < 1:
         raise ValueError("parts and resolution must be positive")
-    for bars in combinations(range(resolution + parts - 1), parts - 1):
-        counts = []
-        prev = -1
-        for b in bars + (resolution + parts - 1,):
-            counts.append(b - prev - 1)
-            prev = b
-        yield np.array(counts, dtype=float) / resolution
+    # stars and bars: parts - 1 bars among resolution + parts - 1 slots, and
+    # each part counts the slots between two neighbouring bars
+    slots = resolution + parts - 1
+    points = comb(slots, parts - 1)
+    bars = np.fromiter(chain.from_iterable(combinations(range(slots), parts - 1)),
+                       dtype=np.int64, count=points * (parts - 1)).reshape(points, parts - 1)
+    return (np.diff(bars, axis=1, prepend=-1, append=slots) - 1) / resolution
 
 
 def evaluate_static(scenario: Scenario, rewards: RewardSpec, allocations) -> np.ndarray:
@@ -65,7 +67,7 @@ def grid_search(scenario: Scenario, rewards: RewardSpec, step: float = 0.01) -> 
     resolution = round(1.0 / step)
     if abs(1.0 / step - resolution) > 1e-9 * resolution:
         raise ValueError(f"step must be 1/n for a whole n, not {step}")
-    grid = np.array(list(simplex_grid(scenario.slice_count + 1, resolution)))
+    grid = simplex_grid(scenario.slice_count + 1, resolution)
     scores = evaluate_static(scenario, rewards, grid)
     best = int(np.argmax(scores))  # the first of equal maxima
     return {

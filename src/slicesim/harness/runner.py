@@ -83,14 +83,13 @@ def _json_safe(x):
 _BLOCK_CELLS = 4096
 
 
-def _block_layout(cell_count: int, slice_count: int):
-    """The CSV columns of the float-table columns and of the int-table columns."""
-    k, n = cell_count, slice_count
-    users = 8 + n + k + 3 * k * n  # mask, eta, phi, delay and load end here
-    actions = users + k * n
-    float_cols = np.r_[2:7, 8:users, actions:actions + k * (n + 1)]
-    int_cols = np.r_[0, 7, users:actions]
-    return float_cols, int_cols
+def _block_layout(header: list[str]):
+    """The CSV columns of the float-table columns and of the int-table
+    columns: ``step``, ``fp_converged`` and the user counts are ints, every
+    other column but ``phase`` is a float, each table in header order."""
+    ints = np.array([c in ("step", "fp_converged") or c.startswith("users_") for c in header])
+    floats = ~ints & (np.array(header) != "phase")
+    return np.flatnonzero(floats), np.flatnonzero(ints)
 
 
 def _write_block(fh, floats, ints, phases, layout) -> None:
@@ -132,7 +131,7 @@ class _Record:
         self.phases = [plan.phase_of(step) for step in range(plan.total)]
         header = csv_header(self.k, n)
         self.block_rows = max(1, _BLOCK_CELLS // len(header))
-        self.layout = float_cols, int_cols = _block_layout(self.k, n)
+        self.layout = float_cols, int_cols = _block_layout(header)
         self.floats = np.empty((self.block_rows, len(float_cols)))
         self.ints = np.empty((self.block_rows, len(int_cols)), dtype=np.int64)
         self.held: list[tuple] = []  # the hold calls of the block being filled

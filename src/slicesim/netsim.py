@@ -184,9 +184,7 @@ class TrafficMask:
             else:
                 t1, v1 = pts[0]
                 t1 += self.period
-        if t1 == t0:
-            return v0
-        w = (tau - t0) / (t1 - t0)
+        w = (tau - t0) / (t1 - t0)  # t1 > t0: the times rise strictly within a period
         return v0 + w * (v1 - v0)
 
 

@@ -18,7 +18,8 @@ matmul per layer replaces E separate passes with the same per-member
 arithmetic. A plain net is the case without the leading axis, with a flat
 ``(P,)`` array. ``Adam`` takes that flat array as its one parameter, and
 callers that update parameters in place work on it too, so one call covers
-every layer of every member.
+every layer of every member. An ``Mlp`` is always built over such an
+array, ``Mlp(spec, flat)``, whose per-layer views it binds without a copy.
 
 This module defines no file format. A network's and an optimizer's state
 are their flat arrays (``Mlp.flat``, ``Adam.m``/``v``/``t``), which
@@ -93,20 +94,15 @@ class Mlp:
     order. A plain net has ``lead == ()``. A stack of E same-shaped members,
     trained side by side, has ``lead == (E,)`` and takes inputs with the same
     leading axis: member e maps ``x[e]`` with its own parameters ``flat[e]``.
+
+    ``Mlp(spec, flat)`` binds those views to an existing array, and it is
+    the one place the layout (each layer's weights, then its bias) is
+    written; ``init``, ``stack``, ``member`` and ``copy`` all build through it.
     """
 
-    def __init__(self, spec: MlpSpec, weights: list[np.ndarray], biases: list[np.ndarray]):
-        sizes = spec.layer_sizes
-        lead = np.shape(weights[0])[:-2] if weights else ()
-        ok = len(weights) == len(biases) == len(sizes) - 1
-        for w, b, fin, fout in zip(weights, biases, sizes, sizes[1:]):
-            ok = ok and np.shape(w) == lead + (fin, fout) and np.shape(b) == lead + (fout,)
-        if not ok:
-            raise ValueError("parameter shapes do not match the spec")
-        parts = [np.reshape(p, lead + (-1,)) for pair in zip(weights, biases) for p in pair]
-        self._bind(spec, np.concatenate(parts, axis=-1, dtype=float))
-
-    def _bind(self, spec: MlpSpec, flat: np.ndarray) -> None:
+    def __init__(self, spec: MlpSpec, flat: np.ndarray):
+        """An Mlp whose parameters are views into ``flat`` (no copy), whose
+        last axis must hold exactly the spec's parameters."""
         self.spec = spec
         self.flat = flat
         self.weights, self.biases = [], []
@@ -125,31 +121,24 @@ class Mlp:
         self._bias_rows = [b[..., None, :] for b in self.biases]
 
     @staticmethod
-    def from_flat(spec: MlpSpec, flat: np.ndarray) -> "Mlp":
-        """An Mlp whose parameters are views into ``flat`` (no copy)."""
-        net = Mlp.__new__(Mlp)
-        net._bind(spec, flat)
-        return net
-
-    @staticmethod
     def init(rng: np.random.Generator, spec: MlpSpec) -> "Mlp":
-        """Glorot-uniform weights, zero biases."""
-        ws, bs = [], []
-        for fin, fout in zip(spec.layer_sizes, spec.layer_sizes[1:]):
+        """Glorot-uniform weights, drawn layer by layer; zero biases."""
+        sizes = spec.layer_sizes
+        net = Mlp(spec, np.zeros(sum((fin + 1) * fout for fin, fout in zip(sizes, sizes[1:]))))
+        for w, fin, fout in zip(net.weights, sizes, sizes[1:]):
             lim = np.sqrt(6.0 / (fin + fout))
-            ws.append(rng.uniform(-lim, lim, size=(fin, fout)))
-            bs.append(np.zeros(fout))
-        return Mlp(spec, ws, bs)
+            w[...] = rng.uniform(-lim, lim, size=(fin, fout))
+        return net
 
     @staticmethod
     def stack(nets: list["Mlp"]) -> "Mlp":
         """A stack whose member i is a copy of the plain net ``nets[i]``."""
-        return Mlp.from_flat(nets[0].spec, np.stack([net.flat for net in nets]))
+        return Mlp(nets[0].spec, np.stack([net.flat for net in nets]))
 
     def member(self, index) -> "Mlp":
         """Member ``index`` (an int gives a plain net, a slice a stack) as an
         Mlp sharing this one's parameters."""
-        return Mlp.from_flat(self.spec, self.flat[index])
+        return Mlp(self.spec, self.flat[index])
 
     # -- forward ------------------------------------------------------------
 
@@ -216,11 +205,11 @@ class Mlp:
 
         Returns (param_grads in parameters() order, dL/dx). The parameter
         gradients are views into one array shaped like ``flat``: that of
-        ``out``, an ``Mlp`` of this spec (``Mlp.from_flat``) a caller keeps
-        to reuse one buffer and its views, else a new array.
+        ``out``, an ``Mlp`` of this spec bound to a buffer a caller keeps to
+        reuse it and its views, else a new array.
         """
         g = self._head_grad(cache, grad_out)
-        grad = Mlp.from_flat(self.spec, np.empty_like(self.flat)) if out is None else out
+        grad = Mlp(self.spec, np.empty_like(self.flat)) if out is None else out
         acts, zs, weights_t = cache.acts, cache.zs, self._weights_t
         for i in range(len(weights_t) - 1, -1, -1):
             np.matmul(acts[i].swapaxes(-1, -2), g, out=grad.weights[i])
@@ -254,7 +243,7 @@ class Mlp:
         return self.flat.shape[-1]
 
     def copy(self) -> "Mlp":
-        return Mlp.from_flat(self.spec, self.flat.copy())
+        return Mlp(self.spec, self.flat.copy())
 
 
 # Adam's moment decay rates and denominator offset (Kingma & Ba's defaults)

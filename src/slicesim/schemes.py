@@ -63,7 +63,8 @@ class Controller:
 
     def act(self, net, phase: str, step: int) -> tuple[np.ndarray, np.ndarray]:
         """(proposals, allocation) for a stack of states; an open-loop
-        controller gets the stack's user counts instead."""
+        controller gets the stack's user counts instead. Callers only read
+        the two arrays, so they may be one array, even a read-only view."""
         raise NotImplementedError
 
     def param_count(self) -> int:
@@ -99,7 +100,7 @@ class StaticController(Controller):
 
     def act(self, users, phase, step):
         alloc = np.broadcast_to(self._alloc, users.shape[:-2] + self._alloc.shape)
-        return alloc.copy(), alloc.copy()
+        return alloc, alloc
 
 
 class BaselineController(Controller):
@@ -113,7 +114,7 @@ class BaselineController(Controller):
 
     def act(self, users, phase, step):
         alloc = baseline_allocation(users)
-        return alloc.copy(), alloc
+        return alloc, alloc
 
 
 def baseline_allocation(users: np.ndarray) -> np.ndarray:

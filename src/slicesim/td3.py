@@ -228,8 +228,8 @@ class Td3Agent:
         self.critic_opt = Adam(self.critics.flat, lr=hyper.critic_lr)
         # gradient buffers reused by every update, bound once as nets so each
         # backward writes through the same views; likewise the first critics
-        self._actor_grad = Mlp.from_flat(actor_spec, np.empty_like(self.actor.flat))
-        self._critic_grad = Mlp.from_flat(critic_spec, np.empty_like(self.critics.flat))
+        self._actor_grad = Mlp(actor_spec, np.empty_like(self.actor.flat))
+        self._critic_grad = Mlp(critic_spec, np.empty_like(self.critics.flat))
         self._critic1 = self.critics.member(slice(0, self.members))
         self.buffer = ReplayBuffer(hyper.buffer_capacity, c.state_dim, c.action_dim,
                                    members=self.members)
@@ -287,9 +287,8 @@ class Td3Agent:
         if not np.isfinite(proposals[~drawn]).all():
             raise FloatingPointError("actor produced a non-finite action")
         proposals[drawn] = simplex[drawn]
-        executed = self._execute(proposals)
-        executed[drawn] = proposals[drawn]
-        return proposals, executed
+        # a drawn row is on the simplex, which the projection passes through bit for bit
+        return proposals, self._execute(proposals)
 
     # -- learning -------------------------------------------------------------
 
@@ -400,8 +399,8 @@ class Td3Agent:
         name, shape and dtype is checked before anything is copied, and a
         missing name or any mismatch raises ``ValueError``.
         """
-        loaded = {}
-        for name, live in self.state().items():
+        state, loaded = self.state(), {}
+        for name, live in state.items():
             if name not in arrays:
                 raise ValueError(f"checkpoint has no {name!r} array")
             value = np.asarray(arrays[name])
@@ -409,11 +408,10 @@ class Td3Agent:
                 raise ValueError(f"checkpoint {name!r} is {value.dtype}{list(value.shape)}, "
                                  f"this agent's is {live.dtype}{list(live.shape)}")
             loaded[name] = value
-        for name in _NETWORKS:
-            getattr(self, name).flat[...] = loaded[name]
+        for name, value in loaded.items():
+            state[name][...] = value
+        # the step counts are plain ints; state() hands out copies of them
         for family, opt in self._optimizers():
-            opt.m[...] = loaded[f"{family}_m"]
-            opt.v[...] = loaded[f"{family}_v"]
             opt.t = int(loaded[f"{family}_t"])
 
     def param_count(self) -> int:

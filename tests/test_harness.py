@@ -1,6 +1,7 @@
 """Harness tests: config parsing, metrics oracles, runner artifacts, compare, CLI."""
 
 import copy
+import itertools
 import json
 import math
 import os
@@ -446,11 +447,31 @@ def test_steps_to_fraction_of_final_ramp():
 
 
 def test_simplex_grid_enumeration():
-    pts = list(simplex_grid(3, 4))
-    assert len(pts) == 15  # C(4+2, 2)
+    pts = simplex_grid(3, 4)
+    assert pts.shape == (15, 3)  # C(4+2, 2)
     for p in pts:
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(p * 4, np.round(p * 4))
+
+
+def simplex_grid_points(parts, resolution):
+    """Reference: the grid point by point, each counted bar to bar."""
+    for bars in itertools.combinations(range(resolution + parts - 1), parts - 1):
+        counts = []
+        prev = -1
+        for b in bars + (resolution + parts - 1,):
+            counts.append(b - prev - 1)
+            prev = b
+        yield np.array(counts, dtype=float) / resolution
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 4])
+@pytest.mark.parametrize("resolution", [1, 2, 7, 20])
+def test_simplex_grid_matches_the_point_by_point_enumeration(parts, resolution):
+    grid = simplex_grid(parts, resolution)
+    reference = list(simplex_grid_points(parts, resolution))
+    assert grid.shape == (len(reference), parts) and grid.dtype == np.float64
+    assert grid.tobytes() == np.array(reference).tobytes()
 
 
 def test_grid_search_toy_optimum():
@@ -492,7 +513,7 @@ def test_evaluate_static_requires_single_cell_constant_masks():
 def test_evaluate_static_scores_each_point_as_a_fresh_environment_would(monkeypatch):
     # the reference: one fresh environment and one step per grid point
     cfg = load_config(CONFIG_DIR / "toy.json")
-    grid = np.array(list(simplex_grid(3, 20)))
+    grid = simplex_grid(3, 20)
     assert len(grid) == 231
     reference = []
     for alloc in grid:
@@ -522,7 +543,7 @@ def test_grid_search_ties_keep_the_first_enumerated_point():
     for s in data["scenario"]["slices"]:
         s["mask"]["breakpoints"] = [[0.0, 0.0]]
     cfg = parse_config(data)
-    grid = np.array(list(simplex_grid(3, 100)))
+    grid = simplex_grid(3, 100)
     assert (evaluate_static(cfg.scenario, cfg.rewards, grid) == 1.0).all()
     res = grid_search(cfg.scenario, cfg.rewards, step=0.01)
     assert res["allocation"] == [0.0, 0.0, 1.0]
@@ -1026,13 +1047,11 @@ def test_cli_compare_curves_from_another_directory(tmp_path, monkeypatch, capsys
     assert curves["static_default"]["values"] == raw[::50].tolist()
 
 
-def test_cli_run_reports_a_diverging_learner_in_one_line(tmp_path):
-    # learning rates of 1e300 overflow the first update, and Adam refuses the
-    # next, non-finite gradient; run in a process of its own to see what a
-    # user sees on stderr
-    data = tiny_config_data(phases=(40, 10, 5), kind="dist")
-    data["agent"] = {"actor_lr": 1e300, "critic_lr": 1e300}
-    cfg_path = tmp_path / "diverging.json"
+def cli_run_errors(tmp_path, data) -> list[str]:
+    """The ``error:`` lines of ``slicesim run`` on the config ``data``, run in
+    a process of its own to see what a user sees on stderr, after checking
+    that it exits with code 2 and prints no traceback."""
+    cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(data))
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ,
@@ -1043,5 +1062,24 @@ def test_cli_run_reports_a_diverging_learner_in_one_line(tmp_path):
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    return [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+
+
+def test_cli_run_reports_a_diverging_learner_in_one_line(tmp_path):
+    # learning rates of 1e300 overflow the first update, and Adam refuses the
+    # next, non-finite gradient
+    data = tiny_config_data(phases=(40, 10, 5), kind="dist")
+    data["agent"] = {"actor_lr": 1e300, "critic_lr": 1e300}
+    errors = cli_run_errors(tmp_path, data)
     assert len(errors) == 1 and "non-finite" in errors[0]
+
+
+def test_cli_run_reports_an_unallocatable_replay_buffer_in_one_line(tmp_path):
+    # the replay array would take over 10**14 bytes, more than a 47-bit
+    # address space, so the allocation fails before any page is touched
+    data = tiny_config_data(kind="dist")
+    data["agent"] = {"buffer_capacity": 10 ** 13}
+    errors = cli_run_errors(tmp_path, data)
+    assert len(errors) == 1 and errors[0].startswith("error: Unable to allocate")
+    # validation passes: it cannot know the machine's memory
+    assert main(["validate", "--config", str(tmp_path / "config.json")]) == 0

@@ -7,9 +7,8 @@ from slicesim.nn import Adam, Mlp, MlpSpec, decoupled_softmax
 
 
 def zero_net(spec):
-    ws = [np.zeros((fin, fout)) for fin, fout in zip(spec.layer_sizes, spec.layer_sizes[1:])]
-    bs = [np.zeros(fout) for fout in spec.layer_sizes[1:]]
-    return Mlp(spec, ws, bs)
+    sizes = spec.layer_sizes
+    return Mlp(spec, np.zeros(sum((fin + 1) * fout for fin, fout in zip(sizes, sizes[1:]))))
 
 
 # ---------------------------------------------------------------------------
@@ -23,15 +22,15 @@ def test_zero_net_linear_head_outputs_zero():
 
 
 def test_identity_layer_passthrough():
-    spec = MlpSpec((3, 3), head="linear")
-    net = Mlp(spec, [np.eye(3)], [np.zeros(3)])
+    net = zero_net(MlpSpec((3, 3), head="linear"))
+    net.weights[0][...] = np.eye(3)
     x = np.array([[0.3, -1.2, 4.5]])
     assert np.allclose(net.forward(x), x)
 
 
 def test_softmax_head_analytic_block():
-    spec = MlpSpec((3, 3), head="softmax_blocks", block_size=3)
-    net = Mlp(spec, [np.eye(3)], [np.zeros(3)])
+    net = zero_net(MlpSpec((3, 3), head="softmax_blocks", block_size=3))
+    net.weights[0][...] = np.eye(3)
     y = net.forward(np.array([[np.log(2.0), 0.0, 0.0]]))
     assert y[0] == pytest.approx([0.5, 0.25, 0.25])
 
@@ -111,7 +110,8 @@ def test_zero_output_gradient_gives_zero_param_gradients():
 def test_single_linear_layer_quadratic_gradient():
     # L = (w x + b - t)^2  =>  dL/dw = 2 (w x + b - t) x
     w, b, x, t = 0.7, -0.2, 1.3, 2.0
-    net = Mlp(MlpSpec((1, 1)), [np.array([[w]])], [np.array([b])])
+    net = zero_net(MlpSpec((1, 1)))
+    net.weights[0][...], net.biases[0][...] = w, b
     y, cache = net.forward_cached(np.array([[x]]))
     grads, _ = net.backward(cache, np.array([[2 * (y[0, 0] - t)]]))
     resid = w * x + b - t
@@ -200,7 +200,7 @@ def test_stack_matches_its_members_bit_for_bit():
         x, v = rng.normal(size=(3, 4, 5)), rng.normal(size=(3, 4, 6))
         y, cache = stack.forward_cached(x)
         grad = np.empty_like(stack.flat)
-        grads, gx = stack.backward(cache, v, out=Mlp.from_flat(spec, grad))
+        grads, gx = stack.backward(cache, v, out=Mlp(spec, grad))
         assert all(np.shares_memory(g, grad) for g in grads)
         for e, net in enumerate(nets):
             ye, ce = net.forward_cached(x[e])
@@ -349,6 +349,35 @@ def test_init_zero_biases_and_glorot_bounds():
     for w, fin, fout in zip(net.weights, spec.layer_sizes, spec.layer_sizes[1:]):
         lim = np.sqrt(6.0 / (fin + fout))
         assert np.all(np.abs(w) <= lim)
+
+
+def glorot_reference(rng, spec):
+    """The flat parameters ``Mlp.init`` must give: per layer, in order, a
+    ``(fan_in, fan_out)`` uniform weight draw, then a zero bias."""
+    parts = []
+    for fin, fout in zip(spec.layer_sizes, spec.layer_sizes[1:]):
+        lim = np.sqrt(6.0 / (fin + fout))
+        parts += [rng.uniform(-lim, lim, (fin, fout)).ravel(), np.zeros(fout)]
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("sizes", [(1, 1), (6, 8, 3), (5, 12, 7, 4)])
+def test_init_matches_per_layer_glorot_draws_bit_for_bit(sizes):
+    spec = MlpSpec(sizes)
+    net, ref = Mlp.init(np.random.default_rng(5), spec), np.random.default_rng(5)
+    assert net.flat.tobytes() == glorot_reference(ref, spec).tobytes()
+    rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+    stack = Mlp.stack([Mlp.init(rng, spec) for _ in range(3)])
+    expected = np.stack([glorot_reference(ref, spec) for _ in range(3)])
+    assert stack.flat.tobytes() == expected.tobytes()
+
+
+def test_constructor_rejects_a_flat_array_of_another_size():
+    spec = MlpSpec((4, 8, 3))
+    size = zero_net(spec).param_count()
+    for bad in (np.zeros(size - 1), np.zeros(size + 1), np.zeros((2, size + 3))):
+        with pytest.raises(ValueError, match="does not match the spec"):
+            Mlp(spec, bad)
 
 
 def test_param_count():

@@ -786,7 +786,7 @@ def test_backward_into_a_bound_gradient_net_matches_a_fresh_buffer(case):
     net, x, v = case
     _, cache = net.forward_cached(x)
     fresh, dx = net.backward(cache, v)
-    bound = Mlp.from_flat(net.spec, np.full_like(net.flat, np.nan))
+    bound = Mlp(net.spec, np.full_like(net.flat, np.nan))
     for _ in range(2):  # the second call writes over the first through the same views
         grads, bound_dx = net.backward(cache, v, out=bound)
         assert all(np.shares_memory(g, bound.flat) for g in grads)
@@ -927,5 +927,5 @@ def test_block_writer_matches_the_per_row_join(cells, slices, size, drawn_floats
     ints = int_pool[rng.integers(len(int_pool), size=(block, 2 + k * n))]
     phases = [str(p) for p in rng.choice(["explore", "train", "eval"], size=rows)]
     fh = StringIO()
-    _write_block(fh, floats, ints, phases, _block_layout(k, n))
+    _write_block(fh, floats, ints, phases, _block_layout(csv_header(k, n)))
     assert fh.getvalue() == _rows_joined(floats[:rows], ints[:rows], phases, k, n)

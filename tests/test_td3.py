@@ -201,6 +201,16 @@ def test_penalty_mode_proposal_and_projection():
     assert act.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def test_penalty_mode_executes_simplex_draws_exactly_as_drawn():
+    # epsilon 1: every proposal is a uniform simplex draw, which the
+    # projection passes through bit for bit
+    stacked, _ = stacked_and_serial(constraint_mode="penalty", action_dim=6)
+    states = np.random.default_rng(5).random((3, 4))
+    for _ in range(20):
+        props, acts = stacked.select_action(states, "train", epsilon=1.0)
+        assert acts.tobytes() == props.tobytes()
+
+
 def test_train_noisy_respects_simplex_in_softmax_mode():
     agent = make_agent(seed=3)
     for _ in range(10):
